@@ -6,7 +6,8 @@
 //! `batch_solve` cache revisit per group — then writes the
 //! `BENCH_soak.json` summary (scenarios/sec, invariant-violation count,
 //! per-family solve-node histograms joined from the daemon's access
-//! log, the shutdown SLO verdict) to the workspace root.
+//! log, the shutdown SLO verdict), stamped with where it was measured,
+//! to the workspace root.
 //!
 //! The run *gates* on its invariants: any violation, a failed SLO
 //! check, or a cache-starved revisit leg fails the bench. Every
@@ -78,7 +79,7 @@ fn bench_soak(c: &mut Criterion) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_soak.json");
     std::fs::write(
         path,
-        report.summary_json(fast, wall_s, Some(&slo.to_json())),
+        netdag_bench::stamp_provenance(&report.summary_json(fast, wall_s, Some(&slo.to_json()))),
     )
     .expect("write BENCH_soak.json");
     eprintln!(

@@ -180,6 +180,35 @@ pub fn cartpole_solver_csp() -> (Model, VarId) {
     solver_round_csp(&[4, 1, 4, 1, 4, 1, 4, 1, 4, 1], 8)
 }
 
+/// Stamps a `BENCH_*.json` document with where it was measured: the git
+/// commit (suffixed `-dirty` when the tree has uncommitted changes), the
+/// core count and the rustc version. The stamp becomes the document's
+/// first field; the documents carry their fast/full mode as `"fast"`.
+///
+/// # Panics
+///
+/// Panics if `doc` is not a JSON object.
+pub fn stamp_provenance(doc: &str) -> String {
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned())
+    };
+    let commit = run("git", &["describe", "--always", "--dirty", "--abbrev=40"]);
+    let rustc = run("rustc", &["-V"]);
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let body = doc.strip_prefix('{').expect("a JSON object");
+    format!(
+        "{{\n  \"provenance\": {{\"commit\": {commit:?}, \"nproc\": {nproc}, \
+         \"rustc\": {rustc:?}}},{body}"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,12 +5,14 @@
 //!
 //! This test owns the process-global trace collector, so it lives in
 //! its own integration binary — sharing one with other daemon tests
-//! would interleave their spans into the drained trace.
+//! would interleave their spans into the drained trace. Its sibling in
+//! this binary also runs a daemon, so both serialize on a local mutex,
+//! mirroring the CLI test files.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use netdag_core::spec::{AppSpec, EdgeSpec, TaskSpec, WeaklyHardEntry, WeaklyHardSpec};
@@ -18,6 +20,8 @@ use netdag_serve::protocol::{Request, Response, STATUS_OK};
 use netdag_serve::{serve, ServeConfig, ServeReport};
 use netdag_trace::EventKind;
 use serde::Value;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn pipeline_app() -> AppSpec {
     AppSpec {
@@ -90,6 +94,7 @@ fn as_str(v: &Value) -> &str {
 /// drained `serve.request` trace spans.
 #[test]
 fn access_log_rid_matches_trace_span_rid() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let log_path = std::env::temp_dir().join(format!(
         "netdag_access_log_test_{}.ndjson",
         std::process::id()
@@ -211,6 +216,7 @@ fn access_log_rid_matches_trace_span_rid() {
 /// `serve.access_log.dropped` counter exactly once.
 #[test]
 fn failed_access_log_writes_are_counted_not_fatal() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     if !std::path::Path::new("/dev/full").exists() {
         eprintln!("skipping: /dev/full not available on this platform");
         return;

@@ -564,7 +564,11 @@ fn rolling_solver_nodes_identical_across_worker_counts() {
 /// The worker is pinned with a Monte-Carlo validation: its cost is
 /// linear in `kappa * trials` (no pruning, no early exit on a passing
 /// run), so unlike a branch-and-bound solve it cannot terminate early
-/// on a fast machine.
+/// on a fast machine. Eq. (13) windows are at least 20 slots, so every
+/// trial draws a jittered burst pattern (no automaton is built) of
+/// `kappa` slots — the daemon caps weakly-hard `kappa` at 2 000 — and
+/// the hold's length is set by `trials` alone: about 0.4 s in a
+/// release build, several seconds in a debug one.
 #[test]
 fn backpressure_bounds_queue_and_shutdown_drains() {
     const N: usize = 2;
@@ -581,14 +585,15 @@ fn backpressure_bounds_queue_and_shutdown_drains() {
     let solved = holder.send(&solve_request(99, pipeline_app(), Some(wh_spec(10, 40))));
     assert_eq!(solved.status, STATUS_OK, "{:?}", solved.reason);
 
-    // Occupy the worker; the response is read after the burst.
+    // Occupy the worker with 20 000 trials at the 2 000-slot kappa cap;
+    // the response is read after the burst.
     let mut hold = Request::op("validate");
     hold.id = Some(100);
     hold.app = Some(pipeline_app());
     hold.weakly_hard = Some(wh_spec(10, 40));
     hold.schedule = solved.result.clone();
     hold.kappa = Some(2_000);
-    hold.trials = Some(100);
+    hold.trials = Some(20_000);
     let hold_line = serde_json::to_string(&hold).expect("serialize");
     holder
         .writer

@@ -10,6 +10,11 @@
 //!   sets — the paper's eq. (12) synthesis),
 //! * exact language inclusion, which decides the `⪯` domination order
 //!   semantically.
+//!
+//! Windowed constraints compile through a history automaton with exactly
+//! `2^K − 1` raw states, so construction refuses every window with
+//! `2^K − 1 > MAX_STATES` (`K ≥ 17`) up front, in O(1), and callers fall
+//! back to generators that need no automaton.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -18,9 +23,11 @@ use std::fmt;
 use crate::constraint::Constraint;
 use crate::sequence::Sequence;
 
-/// Construction refuses to build automata larger than this. History
-/// automata need `2^(K−1)` states, so windows beyond ~17 are rejected;
-/// callers fall back to non-uniform generators (see
+/// Construction refuses to build automata larger than this. The raw
+/// history automaton of a window-`K` constraint has exactly `2^K − 1`
+/// states (see [`Dfa::from_constraint`]), so a window is refused iff
+/// `2^K − 1 > MAX_STATES`, i.e. `K ≥ 17`, whatever `m` and the
+/// constraint kind. Callers fall back to non-uniform generators (see
 /// [`crate::synthesis::AdversarialSampler`]).
 const MAX_STATES: usize = 1 << 16;
 
@@ -76,8 +83,9 @@ impl Dfa {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildDfaError`] when the reachable state space exceeds the
-    /// internal budget (large windows with mid-range `m`).
+    /// Returns [`BuildDfaError`] for windowed constraints with
+    /// `2^K − 1` above the internal state budget (`K ≥ 17`). The check
+    /// runs before any allocation, so a refusal costs O(1).
     pub fn from_constraint(c: &Constraint) -> Result<Self, BuildDfaError> {
         let raw = match *c {
             Constraint::RowMiss { m } => Self::build_row_miss(m),
@@ -113,12 +121,12 @@ impl Dfa {
     /// phase (windows not yet complete) is handled exactly.
     fn build_windowed(c: &Constraint) -> Result<Self, BuildDfaError> {
         let k = c.window().expect("windowed constraint") as usize;
-        // History codes are length-prefixed u64s (up to `K − 1` payload
-        // bits plus the marker), so windows beyond 64 are unencodable
-        // regardless of the state budget. Constraints with few misses
-        // keep the reachable set small enough to dodge the MAX_STATES
-        // check while still growing 65-bit codes, so refuse up front.
-        if k > 64 {
+        // During warm-up no window is complete, so every history of
+        // length `0..K` is reachable: the raw automaton has exactly
+        // `2^K − 1` states whatever `m` and the constraint kind are.
+        // Refuse oversized windows here, before enumerating anything.
+        // This also keeps the length-prefixed codes well inside a u64.
+        if k >= usize::BITS as usize || (1usize << k) - 1 > MAX_STATES {
             return Err(BuildDfaError { constraint: *c });
         }
         let h = k - 1;
@@ -157,9 +165,7 @@ impl Dfa {
                         Some(&t) => t,
                         None => {
                             let t = codes.len() as u32;
-                            if codes.len() >= MAX_STATES {
-                                return Err(BuildDfaError { constraint: *c });
-                            }
+                            debug_assert!(codes.len() < MAX_STATES, "up-front check missed");
                             ids.insert(code, t);
                             codes.push(code);
                             trans.push([u32::MAX; 2]);
@@ -622,6 +628,34 @@ mod tests {
         // Everything is included in a trivial constraint.
         let trivial = Dfa::from_constraint(&Constraint::any_hit(0, 3).unwrap()).unwrap();
         assert!(easy.included_in(&trivial));
+    }
+
+    #[test]
+    fn windows_up_to_16_build_and_larger_ones_are_refused() {
+        // The raw history automaton has 2^K − 1 states for every m and
+        // windowed kind, so K = 16 fits the budget and K = 17 does not.
+        for c in [
+            Constraint::any_miss(3, 16).unwrap(),
+            Constraint::any_hit(13, 16).unwrap(),
+            Constraint::row_hit(2, 16).unwrap(),
+        ] {
+            assert!(Dfa::from_constraint(&c).is_ok(), "{c}");
+        }
+        for k in 17..=80u32 {
+            for m in 0..=k {
+                for c in [
+                    Constraint::any_miss(m, k).unwrap(),
+                    Constraint::any_hit(m, k).unwrap(),
+                    Constraint::row_hit(m, k).unwrap(),
+                ] {
+                    assert_eq!(
+                        Dfa::from_constraint(&c),
+                        Err(BuildDfaError { constraint: c }),
+                        "{c}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -250,11 +250,15 @@ impl AdversarialSampler {
         let target = Constraint::AnyMiss { m, k };
         let stricter_m = Constraint::AnyMiss { m: m - 1, k };
         let stricter_k = Constraint::AnyMiss { m, k: k + 1 };
+        // The `K + 1` automaton is the largest of the three, so build it
+        // first: when it is refused, no `K`-window automaton is built only
+        // to be thrown away.
         let exact = (|| {
+            let wider = Dfa::from_constraint(&stricter_k).ok()?;
             let dfa = Dfa::from_constraint(&target)
                 .ok()?
                 .difference(&Dfa::from_constraint(&stricter_m).ok()?)
-                .difference(&Dfa::from_constraint(&stricter_k).ok()?);
+                .difference(&wider);
             Some(dfa)
         })();
         Ok(AdversarialSampler {
@@ -408,6 +412,21 @@ mod tests {
         }
         // Too short for the witness windows.
         assert_eq!(sampler.sample(20, &mut rng), None);
+    }
+
+    #[test]
+    fn refusal_boundary_sets_the_sampler_mode() {
+        // K = 16 itself compiles, but its K + 1 = 17 automaton is refused,
+        // so both (m, 16) and (m, 17) sample jittered bursts.
+        assert!(AdversarialSampler::new(2, 15).unwrap().is_uniform());
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for (m, k) in [(3u32, 16u32), (3, 17)] {
+            let sampler = AdversarialSampler::new(m, k).unwrap();
+            assert!(!sampler.is_uniform(), "(~{m}, {k})");
+            assert_eq!(sampler.count(64), None);
+            let w = sampler.sample(64, &mut rng).expect("long enough");
+            assert!(in_eq12_set(&w, m, k), "(~{m}, {k}): {w}");
+        }
     }
 
     #[test]
