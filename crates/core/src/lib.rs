@@ -35,7 +35,6 @@
 //! | weakly hard statistic `λ_WH`, eqs. (12)/(13) | [`stat`] |
 //! | makespan objective, start times `ζ` | [`makespan`] |
 //! | round orders `l` (per-level / per-message) | [`rounds`] |
-//! | multi-application composition (§ IV) | [`compose`] |
 //! | constraint/latency sweeps (figs. 2 and 4) | [`explore`] |
 //! | multi-mode co-synthesis (TTW, beyond the paper) | [`modes`] |
 //!
@@ -72,7 +71,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod compose;
 pub mod config;
 pub mod constraints;
 pub mod control;

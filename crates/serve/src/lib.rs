@@ -19,7 +19,8 @@
 //!   engine — sound and bit-identical to the cold solve (see
 //!   [`netdag_core::control::SolveControl`]). Multi-mode `mode_solve`
 //!   requests hash the whole mode set ([`mode_fingerprint`]) into a
-//!   separate exact-only cache and answer with the
+//!   separate exact-only cache (both caches are instances of one LRU
+//!   core, [`cache::Lru`]) and answer with the
 //!   [`ModeScheduleExport`](netdag_core::modes::ModeScheduleExport)
 //!   document `netdag schedule --modes --out` writes.
 //! * **Robust serving semantics** ([`server`]) — a bounded admission

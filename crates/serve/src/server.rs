@@ -1,4 +1,4 @@
-//! The TCP server: admission, shard fleet, solving, shutdown.
+//! The TCP server: decode, admission, shard fleet, solving, shutdown.
 //!
 //! ```text
 //!            ┌───────────────┐  ring   ┌─ shard 0: queue+caches+pool ─┐
@@ -12,19 +12,27 @@
 //!   scoped thread per connection.
 //! * **Connection threads** parse one request per line. Cheap
 //!   operations (`cache_stats`, `metrics`, `health`, `shutdown`,
-//!   malformed input) are answered inline; `solve` / `mode_solve` /
-//!   `validate` are fingerprinted and routed onto one of
-//!   [`ServeConfig::shards`] independent shards by the consistent-hash
-//!   [`Ring`], then admitted to that shard's bounded queue — when it is
-//!   full, or after shutdown began, the request is rejected immediately
-//!   with a structured reason rather than queued without bound.
-//!   `batch_solve` fingerprints and presolves each distinct problem
-//!   once, groups the batch by destination shard, enqueues one job per
-//!   shard (all-or-nothing), and reassembles the per-item responses in
-//!   request order. The two read-only probes (`metrics`, `health`) are
-//!   excluded from request counting so polling them never perturbs the
-//!   telemetry they report.
-//! * **Shards** each own an LRU solution cache, a mode cache, and
+//!   malformed input) are answered inline. A `solve` / `validate`
+//!   request (and each `batch_solve` item) goes through the one
+//!   `decode` step: the application, the constraint mix and the
+//!   configuration are built and the request fingerprinted exactly
+//!   once, and everything downstream — the CPM presolve, ring routing,
+//!   the worker's cache probe and solve — uses that one result. A
+//!   request that fails to decode still travels to its worker, which
+//!   answers with the decode error, so every such request is logged and
+//!   timed like any other.
+//! * **Admission** has one path, `admit`: an all-or-nothing enqueue
+//!   of `(shard, work)` groups onto [`ServeConfig::shards`] independent
+//!   bounded queues chosen by the consistent-hash [`Ring`]. A single
+//!   request is one group; `batch_solve` groups its items by
+//!   destination shard and reassembles the per-item answers in request
+//!   order. When any target queue is full, or after shutdown began, the
+//!   whole request is rejected immediately with a structured reason
+//!   rather than queued without bound. The two read-only probes
+//!   (`metrics`, `health`) are excluded from request counting so
+//!   polling them never perturbs the telemetry they report.
+//! * **Shards** each own a solution cache and a mode cache — two
+//!   instances of the one LRU core in [`crate::cache`] — and
 //!   [`ServeConfig::workers`] worker threads (a
 //!   [`netdag_runtime::run_indexed`] fan-out of `shards × workers`).
 //!   Routing by the *structural* fingerprint hash keeps every
@@ -63,11 +71,12 @@ use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use netdag_core::app::Application;
 use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
-use netdag_core::constraints::{Deadlines, WeaklyHardConstraints};
+use netdag_core::constraints::{Deadlines, SoftConstraints, WeaklyHardConstraints};
 use netdag_core::control::{ControlledOutcome, SolveControl};
 use netdag_core::modes::schedule_modes;
 use netdag_core::soft::{presolve_soft, schedule_soft_controlled};
@@ -87,7 +96,7 @@ use crate::protocol::{
     STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
 };
 use crate::ring::Ring;
-use crate::snapshot::{self, CacheSnapshot, SnapshotEntry};
+use crate::snapshot::{self, CacheSnapshot, ModeSnapshotEntry};
 
 /// How often blocked threads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
@@ -174,24 +183,170 @@ pub struct ServeReport {
     pub slo: Option<SloReport>,
 }
 
+/// The built constraint mix of one problem: exactly one of the paper's
+/// two formulations. The soft/weakly-hard choice between the CPM
+/// presolve and the controlled solve is made here and nowhere else.
+enum Mix {
+    /// Soft constraints under the eq. (15) statistic with this `fSS̄`.
+    Soft(f64, SoftConstraints),
+    /// Weakly hard constraints under the eq. (13) statistic.
+    WeaklyHard(WeaklyHardConstraints),
+}
+
+impl Mix {
+    /// The CPM timing presolve: no search, `Err` when provably
+    /// infeasible.
+    fn presolve(&self, app: &Application, cfg: &SchedulerConfig) -> Result<(), ScheduleError> {
+        let none = Deadlines::new();
+        match self {
+            Mix::Soft(fss, f) => {
+                presolve_soft(app, &Eq15Statistic::new(*fss, cfg.chi_max), f, &none, cfg)
+            }
+            Mix::WeaklyHard(f) => {
+                presolve_weakly_hard(app, &Eq13Statistic::new(cfg.chi_max), f, &none, cfg)
+            }
+        }
+    }
+
+    /// The deadline-controlled branch-and-bound solve.
+    fn solve(
+        &self,
+        app: &Application,
+        cfg: &SchedulerConfig,
+        control: &mut SolveControl<'_>,
+    ) -> Result<ControlledOutcome, ScheduleError> {
+        let none = Deadlines::new();
+        match self {
+            Mix::Soft(fss, f) => {
+                let stat = Eq15Statistic::new(*fss, cfg.chi_max);
+                schedule_soft_controlled(app, &stat, f, &none, cfg, control)
+            }
+            Mix::WeaklyHard(f) => {
+                let stat = Eq13Statistic::new(cfg.chi_max);
+                schedule_weakly_hard_controlled(app, &stat, f, &none, cfg, control)
+            }
+        }
+    }
+}
+
+/// A `solve`, `validate` or batch-item request after [`decode`]: built
+/// once, on the connection thread, and shared by the presolve, ring
+/// routing and the worker.
+struct Problem {
+    app: Application,
+    /// A solve has exactly one mix; a validation has the soft mix
+    /// and/or the weakly hard one, in that order.
+    mixes: Vec<Mix>,
+    cfg: SchedulerConfig,
+    fp: Fingerprint,
+}
+
+/// What [`decode`] makes of a request.
+struct Decoded {
+    /// The structural hash the ring routes by; `None` only without an
+    /// app spec. A request that fails to build still routes by it.
+    route: Option<u64>,
+    /// The built problem, or the error its worker answers with.
+    problem: Result<Problem, String>,
+}
+
+/// The one decode step of a `solve` or `validate` request: fingerprint
+/// it and build its application and constraint mix. Errors are checked
+/// in a fixed order, one message per defect.
+fn decode(req: &Request) -> Decoded {
+    let Some(app_spec) = req.app.as_ref() else {
+        return Decoded {
+            route: None,
+            problem: Err(format!("{} needs an \"app\" spec", req.op)),
+        };
+    };
+    let cfg = config_from(req);
+    // Normalized so a defaulted statistic fingerprints like an
+    // explicit one.
+    let stat = req.stat.clone().unwrap_or(StatSpec {
+        kind: "eq13".into(),
+        fss: None,
+    });
+    let fp = fingerprint(
+        app_spec,
+        req.soft.as_ref(),
+        req.weakly_hard.as_ref(),
+        &stat,
+        &cfg,
+    );
+    let validate = req.op == "validate";
+    let build = || -> Result<(Application, Vec<Mix>), String> {
+        if validate {
+            if req.schedule.is_none() {
+                return Err("validate needs a \"schedule\" document".into());
+            }
+            if req.soft.is_none() && req.weakly_hard.is_none() {
+                return Err("validate needs \"soft\" and/or \"weakly_hard\" constraints".into());
+            }
+        } else if req.soft.is_some() && req.weakly_hard.is_some() {
+            return Err("\"soft\" and \"weakly_hard\" are mutually exclusive".into());
+        }
+        let invalid = |e| format!("invalid spec: {e}");
+        let (app, names) = app_spec.build().map_err(invalid)?;
+        let mut mixes = Vec::new();
+        if let Some(soft) = req.soft.as_ref() {
+            // Validation reads only `fss`; a solve also insists on eq15.
+            let Some(fss) = stat.fss.filter(|_| validate || stat.kind == "eq15") else {
+                return Err(if validate {
+                    "soft validation needs \"stat\": {\"kind\": \"eq15\", \"fss\": …}"
+                } else {
+                    "soft solving needs \"stat\": {\"kind\": \"eq15\", \"fss\": …}"
+                }
+                .into());
+            };
+            mixes.push(Mix::Soft(fss, soft.build(&names).map_err(invalid)?));
+        } else if !validate && stat.kind != "eq13" {
+            return Err("weakly hard solving needs \"stat\": {\"kind\": \"eq13\"}".into());
+        }
+        match req.weakly_hard.as_ref() {
+            Some(spec) => mixes.push(Mix::WeaklyHard(spec.build(&names).map_err(invalid)?)),
+            // An unconstrained solve is weakly hard with no constraints.
+            None if mixes.is_empty() => mixes.push(Mix::WeaklyHard(WeaklyHardConstraints::new())),
+            None => {}
+        }
+        Ok((app, mixes))
+    };
+    Decoded {
+        route: Some(fp.structural),
+        problem: build().map(|(app, mixes)| Problem {
+            app,
+            mixes,
+            cfg,
+            fp,
+        }),
+    }
+}
+
 /// What a queued job asks its shard's worker to do.
 enum Work {
-    /// One `solve` / `mode_solve` / `validate` request. For solves the
-    /// connection thread already computed the fingerprint to route the
-    /// request; it rides along so the worker never hashes twice.
+    /// A `solve` or `validate` request with its one [`decode`].
     Single {
         req: Box<Request>,
-        fp: Option<Fingerprint>,
+        problem: Result<Problem, String>,
     },
-    /// One shard's slice of a `batch_solve` request: synthesized solve
-    /// requests (batch head's `config`/`deadline_ms` merged in) with
-    /// their fingerprints, in batch order. The worker answers with a
-    /// `batch` array aligned to this slice; items run back-to-back, so
-    /// a repeat hits the cache its predecessor just filled and
-    /// structural neighbours chain warm starts within the batch.
+    /// A `mode_solve` request with its configuration and mode-set hash
+    /// (`None` without a `modes` spec), computed once on the connection
+    /// thread.
+    Modes {
+        req: Box<Request>,
+        cfg: SchedulerConfig,
+        key: Option<u64>,
+    },
+    /// One shard's slice of a `batch_solve` request: the decoded items
+    /// in batch order, each solved as a standalone `solve` carrying the
+    /// batch head's id and deadline. The worker answers with a `batch`
+    /// array aligned to this slice; items run back-to-back, so a repeat
+    /// hits the cache its predecessor just filled and structural
+    /// neighbours chain warm starts within the batch.
     Batch {
         head_id: Option<u64>,
-        items: Vec<(Request, Fingerprint)>,
+        deadline_ms: Option<u64>,
+        items: Vec<Result<Problem, String>>,
     },
 }
 
@@ -199,7 +354,7 @@ impl Work {
     /// Operation label for the trace span and access log.
     fn op(&self) -> &str {
         match self {
-            Work::Single { req, .. } => &req.op,
+            Work::Single { req, .. } | Work::Modes { req, .. } => &req.op,
             Work::Batch { .. } => "batch_solve",
         }
     }
@@ -207,7 +362,7 @@ impl Work {
     /// Client correlation id.
     fn id(&self) -> Option<u64> {
         match self {
-            Work::Single { req, .. } => req.id,
+            Work::Single { req, .. } | Work::Modes { req, .. } => req.id,
             Work::Batch { head_id, .. } => *head_id,
         }
     }
@@ -238,12 +393,12 @@ impl Slot {
     }
 
     fn fill(&self, resp: Response) {
-        *self.done.lock().expect("slot lock") = Some(resp);
+        *lock(&self.done) = Some(resp);
         self.ready.notify_all();
     }
 
     fn wait(&self) -> Response {
-        let mut guard = self.done.lock().expect("slot lock");
+        let mut guard = lock(&self.done);
         loop {
             if let Some(resp) = guard.take() {
                 return resp;
@@ -382,12 +537,24 @@ struct Shared {
 }
 
 impl Shared {
+    /// The shard owning ring key `key`; a request without one (no app
+    /// or mode spec to hash) goes to shard 0.
+    fn shard_for(&self, key: Option<u64>) -> usize {
+        key.map_or(0, |k| self.ring.route(k))
+    }
+
     /// Wakes every shard's worker pool (the shutdown broadcast).
     fn wake_all(&self) {
         for shard in &self.shards {
             shard.ready.notify_all();
         }
     }
+}
+
+/// Locks a daemon mutex; a poisoned lock means a worker panicked
+/// mid-update, and the daemon does not serve from torn state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("serve lock poisoned")
 }
 
 /// Runs the daemon on an already-bound listener until a client sends a
@@ -458,7 +625,7 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
         });
     });
     if let Some(log) = shared.access.as_ref() {
-        let _ = log.lock().expect("access log lock").flush();
+        let _ = lock(log).flush();
     }
     // Persist the drained fleet's caches. A write failure is reported
     // but does not fail the daemon: every accepted request was already
@@ -500,47 +667,24 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
     })
 }
 
-/// Routes every snapshot entry through the current ring and reinserts
-/// it into the owning shard, preserving least- to most-recent order.
-/// When a shard's slice exceeds its capacity (a snapshot written by a
-/// larger fleet restoring into a smaller one), only the most recent
-/// `cache_capacity` entries are kept — a restore fills caches, it
-/// never starts them mid-eviction.
+/// Routes every snapshot entry of each kind through the current ring
+/// and replays each shard's slice into its cache, least- to
+/// most-recent, through [`crate::cache::Lru::restore`] (which keeps the
+/// newest `cache_capacity` entries when a larger fleet or cache wrote
+/// the snapshot).
 fn restore_snapshot(shared: &Shared, snap: CacheSnapshot) {
-    let cap = shared.cfg.cache_capacity.max(1);
-    let mut per_shard: Vec<Vec<SnapshotEntry>> =
-        (0..shared.shards.len()).map(|_| Vec::new()).collect();
-    for entry in snap.entries {
-        per_shard[shared.ring.route(entry.structural)].push(entry);
-    }
+    let solutions = by_shard(&shared.ring, snap.entries, |e| e.structural);
+    let modes = by_shard(&shared.ring, snap.mode_entries, |e| e.key);
     let mut restored_total = 0u64;
     let mut entries_total = 0u64;
-    for (shard, mut entries) in shared.shards.iter().zip(per_shard) {
-        if entries.len() > cap {
-            entries.drain(..entries.len() - cap);
-        }
-        let mut cache = shard.cache.lock().expect("cache lock");
-        let mut restored = 0u64;
-        for entry in entries {
-            if cache.restore(entry) {
-                restored += 1;
-            }
-        }
-        entries_total += cache.stats().entries;
+    for ((shard, solutions), modes) in shared.shards.iter().zip(solutions).zip(modes) {
+        let mut cache = lock(&shard.cache);
+        let mut restored = cache.lru.restore(solutions);
+        entries_total += cache.lru.len() as u64;
+        drop(cache);
+        restored += lock(&shard.mode_cache).restore(modes);
         shard.restored.fetch_add(restored, Ordering::Relaxed);
         restored_total += restored;
-    }
-    for entry in snap.mode_entries {
-        let shard = &shared.shards[shared.ring.route(entry.key)];
-        if shard
-            .mode_cache
-            .lock()
-            .expect("mode cache lock")
-            .restore(entry)
-        {
-            shard.restored.fetch_add(1, Ordering::Relaxed);
-            restored_total += 1;
-        }
     }
     netdag_obs::global()
         .counter(keys::SERVE_CACHE_RESTORED)
@@ -548,20 +692,22 @@ fn restore_snapshot(shared: &Shared, snap: CacheSnapshot) {
     shared.gauges.cache_entries.set(entries_total);
 }
 
+/// Splits one kind of snapshot entries by owning shard, keeping order.
+fn by_shard<E>(ring: &Ring, entries: Vec<E>, route: impl Fn(&E) -> u64) -> Vec<Vec<E>> {
+    let mut out: Vec<Vec<E>> = (0..ring.shards()).map(|_| Vec::new()).collect();
+    for entry in entries {
+        out[ring.route(route(&entry))].push(entry);
+    }
+    out
+}
+
 /// Merges every shard's caches into one snapshot document, shard by
 /// shard, each shard's entries in least- to most-recent order.
 fn collect_snapshot(shared: &Shared) -> CacheSnapshot {
     let mut snap = CacheSnapshot::new();
     for shard in &shared.shards {
-        snap.entries
-            .extend(shard.cache.lock().expect("cache lock").export_entries());
-        snap.mode_entries.extend(
-            shard
-                .mode_cache
-                .lock()
-                .expect("mode cache lock")
-                .export_entries(),
-        );
+        snap.entries.extend(lock(&shard.cache).lru.export());
+        snap.mode_entries.extend(lock(&shard.mode_cache).export());
     }
     snap
 }
@@ -570,45 +716,45 @@ fn collect_snapshot(shared: &Shared) -> CacheSnapshot {
 /// breakdown. Everything except the `shards` rows is invariant under
 /// the shard count for the same request sequence (absent evictions),
 /// because the ring routes each structural family to exactly one
-/// shard; `capacity` is the per-shard bound.
+/// shard; `capacity` is the per-shard bound. Mode-cache traffic is not
+/// counted, only its live entries.
 fn aggregate_stats(shared: &Shared) -> CacheStatsBody {
-    let mut body = CacheStatsBody {
-        entries: 0,
+    let in_flight = shared.in_flight.load(Ordering::SeqCst);
+    let mut queued = 0;
+    let shards: Vec<ShardCacheStats> = shared
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| {
+            queued += lock(&shard.queue).len() as u64;
+            let mode_entries = lock(&shard.mode_cache).len() as u64;
+            let c = lock(&shard.cache);
+            ShardCacheStats {
+                shard: i as u64,
+                entries: c.lru.len() as u64,
+                hits: c.hits,
+                misses: c.misses,
+                warm_starts: c.warm_starts,
+                evictions: c.lru.evictions(),
+                restored: shard.restored.load(Ordering::Relaxed),
+                mode_entries,
+            }
+        })
+        .collect();
+    let sum = |field: fn(&ShardCacheStats) -> u64| shards.iter().map(field).sum();
+    CacheStatsBody {
+        entries: sum(|r| r.entries),
         capacity: shared.cfg.cache_capacity.max(1) as u64,
-        hits: 0,
-        misses: 0,
-        warm_starts: 0,
-        evictions: 0,
-        queued: 0,
-        in_flight: shared.in_flight.load(Ordering::SeqCst),
-        mode_entries: 0,
-        restored: 0,
-        shards: Vec::with_capacity(shared.shards.len()),
-    };
-    for (i, shard) in shared.shards.iter().enumerate() {
-        let s = shard.cache.lock().expect("cache lock").stats();
-        let mode_entries = shard.mode_cache.lock().expect("mode cache lock").len() as u64;
-        let restored = shard.restored.load(Ordering::Relaxed);
-        body.entries += s.entries;
-        body.hits += s.hits;
-        body.misses += s.misses;
-        body.warm_starts += s.warm_starts;
-        body.evictions += s.evictions;
-        body.mode_entries += mode_entries;
-        body.restored += restored;
-        body.queued += shard.queue.lock().expect("queue lock").len() as u64;
-        body.shards.push(ShardCacheStats {
-            shard: i as u64,
-            entries: s.entries,
-            hits: s.hits,
-            misses: s.misses,
-            warm_starts: s.warm_starts,
-            evictions: s.evictions,
-            restored,
-            mode_entries,
-        });
+        hits: sum(|r| r.hits),
+        misses: sum(|r| r.misses),
+        warm_starts: sum(|r| r.warm_starts),
+        evictions: sum(|r| r.evictions),
+        queued,
+        in_flight,
+        mode_entries: sum(|r| r.mode_entries),
+        restored: sum(|r| r.restored),
+        shards,
     }
-    body
 }
 
 fn accept_loop<'scope>(
@@ -682,8 +828,7 @@ fn process_line(shared: &Shared, line: &str) -> Response {
         Err(e) => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
             counter!(keys::SERVE_REQUESTS).incr();
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(None, &format!("bad request: {e}"));
+            return fail(None, &format!("bad request: {e}"));
         }
     };
     match req.op.as_str() {
@@ -693,93 +838,56 @@ fn process_line(shared: &Shared, line: &str) -> Response {
     }
     shared.requests.fetch_add(1, Ordering::Relaxed);
     counter!(keys::SERVE_REQUESTS).incr();
-    match req.op.as_str() {
+    let (route, work) = match req.op.as_str() {
         "cache_stats" => {
             let mut resp = Response::status(req.id, STATUS_OK);
             resp.cache = Some(aggregate_stats(shared));
-            resp
+            return resp;
         }
         "shutdown" => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.wake_all();
-            Response::status(req.id, STATUS_OK)
+            return Response::status(req.id, STATUS_OK);
         }
-        "solve" => {
-            // CPM presolve on the connection thread: a spec whose timing
-            // subsystem is provably over-constrained is rejected with a
-            // named explanation and zero search nodes, without ever
-            // occupying a queue slot or a worker.
-            if let Some(resp) = presolve_reject(&req) {
-                return resp;
+        "solve" | "validate" => {
+            let Decoded { route, problem } = decode(&req);
+            // CPM presolve on the connection thread: a solve whose
+            // timing subsystem is provably over-constrained is rejected
+            // with a named explanation and zero search nodes, without
+            // ever occupying a queue slot or a worker.
+            if let (Ok(p), "solve") = (&problem, req.op.as_str()) {
+                if let Some(resp) = presolve_reject(req.id, p) {
+                    return resp;
+                }
             }
-            // The fingerprint is computed here both to route the
-            // request onto its owning shard (by *structural* hash, so a
-            // whole warm-start family shares one cache regardless of
-            // the shard count) and to spare the worker re-hashing it.
-            let fp = solve_fingerprint(&req);
-            let shard = fp.map_or(0, |fp| shared.ring.route(fp.structural));
-            admit(
-                shared,
-                shard,
-                Work::Single {
-                    req: Box::new(req),
-                    fp,
-                },
-            )
+            let work = Work::Single {
+                req: Box::new(req),
+                problem,
+            };
+            (route, work)
         }
         "mode_solve" => {
-            // Same pre-admission screen, run once per mode: a mode set
-            // with one provably over-constrained member is rejected with
-            // a mode-labeled witness before occupying a queue slot.
-            if let Some(resp) = presolve_reject_modes(&req) {
+            let cfg = config_from(&req);
+            let key = req.modes.as_ref().map(|m| mode_fingerprint(m, &cfg));
+            // The same screen, run once per mode.
+            if let Some(resp) = key.and_then(|key| presolve_reject_modes(&req, &cfg, key)) {
                 return resp;
             }
-            let shard = req.modes.as_ref().map_or(0, |m| {
-                shared.ring.route(mode_fingerprint(m, &config_from(&req)))
-            });
-            admit(
-                shared,
-                shard,
-                Work::Single {
-                    req: Box::new(req),
-                    fp: None,
-                },
-            )
+            let work = Work::Modes {
+                req: Box::new(req),
+                cfg,
+                key,
+            };
+            (key, work)
         }
-        "validate" => {
-            let fp = solve_fingerprint(&req);
-            let shard = fp.map_or(0, |fp| shared.ring.route(fp.structural));
-            admit(
-                shared,
-                shard,
-                Work::Single {
-                    req: Box::new(req),
-                    fp,
-                },
-            )
-        }
-        "batch_solve" => handle_batch(shared, req),
-        other => {
-            counter!(keys::SERVE_ERRORS).incr();
-            Response::error(req.id, &format!("unknown op {other:?}"))
-        }
+        "batch_solve" => return handle_batch(shared, req),
+        other => return fail(req.id, &format!("unknown op {other:?}")),
+    };
+    let id = work.id();
+    match admit(shared, vec![(shared.shard_for(route), work)]) {
+        Ok(mut answers) => answers.remove(0),
+        Err(reason) => Response::rejected(id, reason),
     }
-}
-
-/// Fingerprints a solve/validate request when it carries an
-/// application spec. Computed on the connection thread so the same
-/// hash both routes the request onto its owning shard and reaches the
-/// worker as a pre-paid [`Work::Single::fp`].
-fn solve_fingerprint(req: &Request) -> Option<Fingerprint> {
-    req.app.as_ref().map(|app| {
-        fingerprint(
-            app,
-            req.soft.as_ref(),
-            req.weakly_hard.as_ref(),
-            &normalized_stat(req),
-            &config_from(req),
-        )
-    })
 }
 
 /// Answers the `metrics` operation: the live `netdag-obs/1` snapshot
@@ -815,8 +923,8 @@ fn handle_health(shared: &Shared, req: &Request) -> Response {
     let mut cache_entries = 0;
     let mut queue_depth = 0;
     for shard in &shared.shards {
-        cache_entries += shard.cache.lock().expect("cache lock").stats().entries;
-        queue_depth += shard.queue.lock().expect("queue lock").len() as u64;
+        cache_entries += lock(&shard.cache).lru.len() as u64;
+        queue_depth += lock(&shard.queue).len() as u64;
     }
     let uptime_ms = shared
         .started
@@ -839,71 +947,24 @@ fn handle_health(shared: &Shared, req: &Request) -> Response {
     resp
 }
 
-/// Runs the CPM timing presolve for a solve request. `Some(response)`
-/// means the spec is provably infeasible and already answered;
-/// `None` means "admit normally" — either the relaxation is feasible or
-/// the request is malformed in a way the worker path reports with its
-/// usual diagnostics (this function never duplicates those).
-fn presolve_reject(req: &Request) -> Option<Response> {
-    let app_spec = req.app.as_ref()?;
-    if req.soft.is_some() && req.weakly_hard.is_some() {
+/// Whether `cfg` asks for the CPM presolve at all (it needs the lower
+/// bound and the exact backend).
+fn presolves(cfg: &SchedulerConfig) -> bool {
+    cfg.lower_bound && cfg.backend != Backend::Greedy
+}
+
+/// Runs the CPM timing presolve of a decoded solve. `Some(response)`
+/// means the problem is provably infeasible and already answered;
+/// `None` means "admit normally".
+fn presolve_reject(id: Option<u64>, p: &Problem) -> Option<Response> {
+    if !presolves(&p.cfg) {
         return None;
     }
-    let cfg = config_from(req);
-    if !cfg.lower_bound || cfg.backend == Backend::Greedy {
+    let Err(ScheduleError::InfeasibleTiming(e)) = p.mixes[0].presolve(&p.app, &p.cfg) else {
         return None;
-    }
-    let (app, names) = app_spec.build().ok()?;
-    let stat = normalized_stat(req);
-    let result = if let Some(soft) = req.soft.as_ref() {
-        if stat.kind != "eq15" {
-            return None;
-        }
-        let fss = req.stat.as_ref().and_then(|s| s.fss)?;
-        let f = soft.build(&names).ok()?;
-        presolve_soft(
-            &app,
-            &Eq15Statistic::new(fss, cfg.chi_max),
-            &f,
-            &Deadlines::new(),
-            &cfg,
-        )
-    } else {
-        if stat.kind != "eq13" {
-            return None;
-        }
-        let f = match req.weakly_hard.as_ref() {
-            Some(spec) => spec.build(&names).ok()?,
-            None => WeaklyHardConstraints::new(),
-        };
-        presolve_weakly_hard(
-            &app,
-            &Eq13Statistic::new(cfg.chi_max),
-            &f,
-            &Deadlines::new(),
-            &cfg,
-        )
     };
-    match result {
-        Err(ScheduleError::InfeasibleTiming(e)) => {
-            netdag_trace::instant(
-                "serve.presolve_reject",
-                &[("id", req.id.unwrap_or(0).into())],
-            );
-            let fp = fingerprint(
-                app_spec,
-                req.soft.as_ref(),
-                req.weakly_hard.as_ref(),
-                &stat,
-                &cfg,
-            );
-            let mut resp = Response::status(req.id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("timing presolve: {e}"));
-            resp.fingerprint = Some(fp.hex());
-            Some(resp)
-        }
-        _ => None,
-    }
+    netdag_trace::instant("serve.presolve_reject", &[("id", id.unwrap_or(0).into())]);
+    Some(infeasible(id, format!("timing presolve: {e}"), p.fp.hex()))
 }
 
 /// Runs the CPM timing presolve once per mode of a `mode_solve`
@@ -912,195 +973,160 @@ fn presolve_reject(req: &Request) -> Option<Response> {
 /// mode in its reason — and the request never occupies a queue slot.
 /// `None` admits normally; malformed mode sets are reported by the
 /// worker path with its usual diagnostics.
-fn presolve_reject_modes(req: &Request) -> Option<Response> {
+fn presolve_reject_modes(req: &Request, cfg: &SchedulerConfig, key: u64) -> Option<Response> {
     let spec = req.modes.as_ref()?;
-    let cfg = config_from(req);
-    if !cfg.lower_bound || cfg.backend == Backend::Greedy {
+    if !presolves(cfg) {
         return None;
     }
     let (app, names) = spec.app.build().ok()?;
     for mode in &spec.modes {
-        let result = match (&mode.soft, &mode.weakly_hard) {
+        let mix = match (&mode.soft, &mode.weakly_hard) {
             (Some(soft), None) => {
-                let f = SoftSpec {
-                    constraints: soft.constraints.clone(),
-                }
-                .build(&names)
-                .ok()?;
-                presolve_soft(
-                    &app,
-                    &Eq15Statistic::new(soft.fss, cfg.chi_max),
-                    &f,
-                    &Deadlines::new(),
-                    &cfg,
-                )
+                let constraints = soft.constraints.clone();
+                Mix::Soft(soft.fss, SoftSpec { constraints }.build(&names).ok()?)
             }
-            (None, Some(wh)) => {
-                let f = wh.build(&names).ok()?;
-                presolve_weakly_hard(
-                    &app,
-                    &Eq13Statistic::new(cfg.chi_max),
-                    &f,
-                    &Deadlines::new(),
-                    &cfg,
-                )
-            }
+            (None, Some(wh)) => Mix::WeaklyHard(wh.build(&names).ok()?),
             // Invalid constraint mix: let the worker report it.
             _ => return None,
         };
-        if let Err(ScheduleError::InfeasibleTiming(e)) = result {
+        if let Err(ScheduleError::InfeasibleTiming(e)) = mix.presolve(&app, cfg) {
             netdag_trace::instant(
                 "serve.presolve_reject",
                 &[("id", req.id.unwrap_or(0).into())],
             );
-            let mut resp = Response::status(req.id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("mode '{}': timing presolve: {e}", mode.name));
-            resp.fingerprint = Some(format!("{:016x}", mode_fingerprint(spec, &cfg)));
-            return Some(resp);
+            let reason = format!("mode '{}': timing presolve: {e}", mode.name);
+            return Some(infeasible(req.id, reason, format!("{key:016x}")));
         }
     }
     None
 }
 
-/// Admits one unit of [`Work`] to shard `shard_idx`'s bounded queue
-/// and blocks until its worker responds. Rejection (shutdown or a full
-/// shard queue) is answered inline with a structured reason.
-fn admit(shared: &Shared, shard_idx: usize, work: Work) -> Response {
-    let id = work.id();
-    let shard = &shared.shards[shard_idx];
-    let slot = {
-        let mut queue = shard.queue.lock().expect("queue lock");
-        if shared.shutdown.load(Ordering::SeqCst) {
-            drop(queue);
+/// The one admission path: enqueues every `(shard, work)` group
+/// all-or-nothing and blocks until each group's worker answers,
+/// returning the answers in group order. Groups name distinct shards in
+/// ascending order, and every destination queue lock is held at once,
+/// taken in that order — the only multi-lock site in the daemon, so
+/// lock ordering is trivially acyclic. Shutdown or any full queue
+/// rejects the whole request, counted once, with the reason returned as
+/// `Err` for the caller's structured `rejected` answer: a partial
+/// batch would otherwise warm caches with some of its items and not the
+/// rest, making responses depend on admission timing.
+fn admit(shared: &Shared, groups: Vec<(usize, Work)>) -> Result<Vec<Response>, &'static str> {
+    let targets: Vec<usize> = groups.iter().map(|(shard, _)| *shard).collect();
+    let slots: Vec<std::sync::Arc<Slot>> = {
+        let mut queues: Vec<_> = targets
+            .iter()
+            .map(|&s| lock(&shared.shards[s].queue))
+            .collect();
+        let refusal = if shared.shutdown.load(Ordering::SeqCst) {
+            Some(REASON_SHUTTING_DOWN)
+        } else if queues.iter().any(|q| q.len() >= shared.cfg.queue_capacity) {
+            Some(REASON_QUEUE_FULL)
+        } else {
+            None
+        };
+        if let Some(reason) = refusal {
+            drop(queues);
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_SHUTTING_DOWN);
+            return Err(reason);
         }
-        if queue.len() >= shared.cfg.queue_capacity {
-            drop(queue);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_QUEUE_FULL);
-        }
-        let slot = Slot::new();
-        let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
-        queue.push_back(Job {
-            work,
-            rid,
-            accepted_at: Instant::now(),
-            slot: slot.clone(),
-        });
-        netdag_obs::global().observe(keys::HIST_SERVE_QUEUE_DEPTH, queue.len() as u64);
-        shared.gauges.queue_depth.set(queue.len() as u64);
-        slot
+        groups
+            .into_iter()
+            .zip(queues.iter_mut())
+            .map(|((_, work), queue)| {
+                let slot = Slot::new();
+                queue.push_back(Job {
+                    work,
+                    rid: shared.next_rid.fetch_add(1, Ordering::Relaxed),
+                    accepted_at: Instant::now(),
+                    slot: slot.clone(),
+                });
+                netdag_obs::global().observe(keys::HIST_SERVE_QUEUE_DEPTH, queue.len() as u64);
+                shared.gauges.queue_depth.set(queue.len() as u64);
+                slot
+            })
+            .collect()
     };
-    shard.ready.notify_one();
-    slot.wait()
+    for &s in &targets {
+        shared.shards[s].ready.notify_one();
+    }
+    Ok(slots.iter().map(|slot| slot.wait()).collect())
 }
 
-/// Answers a `batch_solve` request: every item is fingerprinted and
+/// Answers a `batch_solve` request: every item is decoded and
 /// CPM-presolved up front (the presolve verdict memoized per canonical
 /// fingerprint, so N structurally identical items pay for one presolve),
-/// the survivors are grouped by owning shard and enqueued
-/// all-or-nothing, and the per-item responses are gathered back into
-/// one envelope in request order.
-fn handle_batch(shared: &Shared, req: Request) -> Response {
+/// the survivors are grouped by owning shard and admitted in one
+/// all-or-nothing step, and the per-item responses are gathered back
+/// into one envelope in request order.
+fn handle_batch(shared: &Shared, mut req: Request) -> Response {
     let id = req.id;
-    let Some(items) = req.batch.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "batch_solve needs a \"batch\" array");
+    let Some(items) = req.batch.take() else {
+        return fail(id, "batch_solve needs a \"batch\" array");
     };
     counter!(keys::SERVE_BATCH_REQUESTS).incr();
     counter!(keys::SERVE_BATCH_ITEMS).add(items.len() as u64);
-    let mut answers: Vec<Option<Response>> = (0..items.len()).map(|_| None).collect();
-    // (shard index → items routed there, each remembering its position
-    // in the batch). BTreeMap so the multi-queue lock below is taken in
-    // ascending shard order — the only multi-lock site in the daemon.
-    let mut groups: BTreeMap<usize, Vec<(usize, Request, Fingerprint)>> = BTreeMap::new();
+    let mut answers: Vec<Option<Response>> = vec![None; items.len()];
+    // Shard index → (batch positions, decoded items). BTreeMap so the
+    // groups reach `admit` in ascending shard order.
+    type Group = (Vec<usize>, Vec<Result<Problem, String>>);
+    let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
     let mut presolved: BTreeMap<u64, Option<Response>> = BTreeMap::new();
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
+        if item.app.is_none() {
+            answers[i] = Some(fail(id, "batch item needs an \"app\" spec"));
+            continue;
+        }
         // Each item solves as if it were a standalone `solve` request
-        // inheriting the envelope's config and deadline.
+        // inheriting the envelope's config.
         let mut sub = Request::op("solve");
-        sub.id = id;
         sub.config = req.config.clone();
-        sub.deadline_ms = req.deadline_ms;
-        sub.app = item.app.clone();
-        sub.soft = item.soft.clone();
-        sub.weakly_hard = item.weakly_hard.clone();
-        sub.stat = item.stat.clone();
-        let Some(fp) = solve_fingerprint(&sub) else {
-            counter!(keys::SERVE_ERRORS).incr();
-            answers[i] = Some(Response::error(id, "batch item needs an \"app\" spec"));
-            continue;
-        };
-        let verdict = presolved
-            .entry(fp.full)
-            .or_insert_with(|| presolve_reject(&sub));
-        if let Some(resp) = verdict {
-            answers[i] = Some(resp.clone());
-            continue;
+        sub.app = item.app;
+        sub.soft = item.soft;
+        sub.weakly_hard = item.weakly_hard;
+        sub.stat = item.stat;
+        let Decoded { route, problem } = decode(&sub);
+        if let Ok(p) = &problem {
+            let verdict = presolved
+                .entry(p.fp.full)
+                .or_insert_with(|| presolve_reject(id, p));
+            if let Some(resp) = verdict {
+                answers[i] = Some(resp.clone());
+                continue;
+            }
         }
-        groups
-            .entry(shared.ring.route(fp.structural))
-            .or_default()
-            .push((i, sub, fp));
+        let (positions, problems) = groups.entry(shared.shard_for(route)).or_default();
+        positions.push(i);
+        problems.push(problem);
     }
-    // All-or-nothing admission: hold every destination queue lock (in
-    // ascending shard order — the only multi-lock site in the daemon,
-    // so lock ordering is trivially acyclic), check shutdown and all
-    // capacities, then enqueue everywhere or reject the whole batch. A
-    // partial batch would otherwise warm caches with some of its items
-    // and not the rest, making responses depend on admission timing.
-    let mut pending: Vec<(Vec<usize>, std::sync::Arc<Slot>)> = Vec::new();
     if !groups.is_empty() {
-        let targets: Vec<usize> = groups.keys().copied().collect();
-        let mut guards: Vec<_> = targets
-            .iter()
-            .map(|&s| shared.shards[s].queue.lock().expect("queue lock"))
+        let mut positions = Vec::with_capacity(groups.len());
+        let work = groups
+            .into_iter()
+            .map(|(shard, (at, items))| {
+                positions.push(at);
+                let deadline_ms = req.deadline_ms;
+                (
+                    shard,
+                    Work::Batch {
+                        head_id: id,
+                        deadline_ms,
+                        items,
+                    },
+                )
+            })
             .collect();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            drop(guards);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_SHUTTING_DOWN);
-        }
-        if guards.iter().any(|q| q.len() >= shared.cfg.queue_capacity) {
-            drop(guards);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_QUEUE_FULL);
-        }
-        for ((_, group), queue) in groups.into_iter().zip(guards.iter_mut()) {
-            let slot = Slot::new();
-            let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
-            let indices: Vec<usize> = group.iter().map(|(i, _, _)| *i).collect();
-            queue.push_back(Job {
-                work: Work::Batch {
-                    head_id: id,
-                    items: group.into_iter().map(|(_, sub, fp)| (sub, fp)).collect(),
-                },
-                rid,
-                accepted_at: Instant::now(),
-                slot: slot.clone(),
-            });
-            netdag_obs::global().observe(keys::HIST_SERVE_QUEUE_DEPTH, queue.len() as u64);
-            shared.gauges.queue_depth.set(queue.len() as u64);
-            pending.push((indices, slot));
-        }
-        drop(guards);
-        for &s in &targets {
-            shared.shards[s].ready.notify_one();
-        }
-    }
-    // Gather: each shard's worker answers its sub-batch with an
-    // envelope whose `batch` field holds the group's responses in
-    // group order; scatter them back to the items' batch positions.
-    for (indices, slot) in pending {
-        let group_resp = slot.wait();
-        let mut subs = group_resp.batch.unwrap_or_default().into_iter();
-        for i in indices {
-            answers[i] = subs.next();
+        let replies = match admit(shared, work) {
+            Ok(replies) => replies,
+            Err(reason) => return Response::rejected(id, reason),
+        };
+        // Each group's reply carries its items' answers in group order;
+        // scatter them back to the items' batch positions.
+        for (at, reply) in positions.into_iter().zip(replies) {
+            for (i, sub) in at.into_iter().zip(reply.batch.unwrap_or_default()) {
+                answers[i] = Some(sub);
+            }
         }
     }
     let mut resp = Response::status(id, STATUS_OK);
@@ -1123,12 +1149,17 @@ impl Drop for LiveWorker<'_> {
     }
 }
 
+/// Whole microseconds since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 fn worker_loop(shared: &Shared, shard: &ShardState) {
     shared.gauges.workers_live.add(1);
     let _live = LiveWorker(&shared.gauges.workers_live);
     loop {
         let job = {
-            let mut queue = shard.queue.lock().expect("queue lock");
+            let mut queue = lock(&shard.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     shared.gauges.queue_depth.set(queue.len() as u64);
@@ -1142,11 +1173,7 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
         };
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         shared.gauges.in_flight.add(1);
-        let queue_us = job
-            .accepted_at
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
+        let queue_us = micros_since(job.accepted_at);
         let service_started = Instant::now();
         let (resp, nodes) = {
             let _span = netdag_obs::global().span(keys::SPAN_SERVE_REQUEST);
@@ -1159,21 +1186,25 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                 ],
             );
             match &job.work {
-                Work::Single { req, fp } => match req.op.as_str() {
-                    "solve" => handle_solve(shared, shard, req, *fp),
-                    "mode_solve" => handle_mode_solve(shard, req),
-                    _ => (handle_validate(req), 0),
-                },
+                Work::Single { req, problem } if req.op == "solve" => {
+                    handle_solve(shared, shard, req.id, req.deadline_ms, problem)
+                }
+                Work::Single { req, problem } => (handle_validate(req, problem), 0),
+                Work::Modes { req, cfg, key } => handle_mode_solve(shard, req, cfg, *key),
                 // A sub-batch runs sequentially on its owning shard's
                 // worker: items that share a structural family hit or
                 // warm-start against each other within the same batch,
                 // because each completed solve lands in the shard cache
                 // before the next item looks it up.
-                Work::Batch { head_id, items } => {
+                Work::Batch {
+                    head_id,
+                    deadline_ms,
+                    items,
+                } => {
                     let mut subs = Vec::with_capacity(items.len());
                     let mut total_nodes = 0u64;
-                    for (sub, fp) in items {
-                        let (r, n) = handle_solve(shared, shard, sub, Some(*fp));
+                    for problem in items {
+                        let (r, n) = handle_solve(shared, shard, *head_id, *deadline_ms, problem);
                         total_nodes += n;
                         subs.push(r);
                     }
@@ -1183,15 +1214,8 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                 }
             }
         };
-        let service_us = service_started
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let latency = job
-            .accepted_at
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
+        let service_us = micros_since(service_started);
+        let latency = micros_since(job.accepted_at);
         netdag_obs::global().observe(keys::HIST_SERVE_LATENCY_US, latency);
         shared.windows.latency_us.observe(latency);
         shared.windows.queue_wait_us.observe(queue_us);
@@ -1257,7 +1281,7 @@ fn write_access_line(
         ("service_us".to_owned(), Value::UInt(service_us)),
     ]);
     if let Ok(text) = serde_json::to_string(&line) {
-        let mut w = log.lock().expect("access log lock");
+        let mut w = lock(log);
         // Flushed per line so tail -f / test readers see complete
         // records as soon as the response is delivered. A failure in
         // either step means this line did not (fully) reach the disk.
@@ -1276,7 +1300,7 @@ fn write_interval_snapshot(shared: &Shared) {
         return;
     };
     let delta = {
-        let mut base = shared.snap_base.lock().expect("snapshot baseline lock");
+        let mut base = lock(&shared.snap_base);
         let now = netdag_obs::global().snapshot();
         let delta = now.delta(&base);
         *base = now;
@@ -1324,69 +1348,77 @@ fn config_from(req: &Request) -> SchedulerConfig {
     }
 }
 
-/// The request's statistic, normalized so the fingerprint of a
-/// defaulted selection equals that of an explicit one.
-fn normalized_stat(req: &Request) -> StatSpec {
-    req.stat.clone().unwrap_or(StatSpec {
-        kind: "eq13".into(),
-        fss: None,
-    })
+/// An error answer, counted under `serve.errors`.
+fn fail(id: Option<u64>, reason: &str) -> Response {
+    counter!(keys::SERVE_ERRORS).incr();
+    Response::error(id, reason)
 }
 
-/// Answers a `solve` request against its owning shard's cache. The
-/// second tuple element is the number of search nodes the solve
-/// explored (zero for cache hits and error paths), taken from the
-/// solve's own [`netdag_solver::SearchStats`] so it is exact per
-/// request even with concurrent workers. `fp_hint` is the fingerprint
-/// the connection thread already computed for routing, so the worker
-/// does not re-hash the spec.
+/// An `infeasible` answer naming its reason and fingerprint.
+fn infeasible(id: Option<u64>, reason: String, fingerprint: String) -> Response {
+    let mut resp = Response::status(id, STATUS_INFEASIBLE);
+    resp.reason = Some(reason);
+    resp.fingerprint = Some(fingerprint);
+    resp
+}
+
+/// A scheduled answer's envelope; the caller attaches the document.
+fn scheduled(id: Option<u64>, complete: bool, cached: bool, warm: bool, fp: String) -> Response {
+    let mut resp = Response::status(
+        id,
+        if complete {
+            STATUS_OK
+        } else {
+            STATUS_INCOMPLETE
+        },
+    );
+    resp.complete = Some(complete);
+    resp.cached = Some(cached);
+    resp.warm_started = Some(warm);
+    resp.fingerprint = Some(fp);
+    resp
+}
+
+/// Answers a solve the scheduler refused: `constraints` names what no
+/// χ assignment could meet.
+fn refused(id: Option<u64>, e: ScheduleError, fp: String, constraints: &str) -> Response {
+    match e {
+        ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_) => infeasible(
+            id,
+            format!("no χ assignment within chi-max meets {constraints}"),
+            fp,
+        ),
+        // Normally caught pre-admission; kept as the worker-path answer
+        // for configurations the connection-thread check skips.
+        ScheduleError::InfeasibleTiming(e) => infeasible(id, format!("timing presolve: {e}"), fp),
+        e => fail(id, &format!("scheduling failed: {e}")),
+    }
+}
+
+/// Answers a decoded solve against its owning shard's cache. The second
+/// tuple element is the number of search nodes the solve explored (zero
+/// for cache hits and error paths), taken from the solve's own
+/// [`netdag_solver::SearchStats`] so it is exact per request even with
+/// concurrent workers.
 fn handle_solve(
     shared: &Shared,
     shard: &ShardState,
-    req: &Request,
-    fp_hint: Option<Fingerprint>,
+    id: Option<u64>,
+    deadline_ms: Option<u64>,
+    problem: &Result<Problem, String>,
 ) -> (Response, u64) {
-    let id = req.id;
-    let Some(app_spec) = req.app.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (Response::error(id, "solve needs an \"app\" spec"), 0);
+    let p = match problem {
+        Ok(p) => p,
+        Err(reason) => return (fail(id, reason), 0),
     };
-    if req.soft.is_some() && req.weakly_hard.is_some() {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (
-            Response::error(id, "\"soft\" and \"weakly_hard\" are mutually exclusive"),
-            0,
-        );
-    }
-    let (app, names) = match app_spec.build() {
-        Ok(pair) => pair,
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            return (Response::error(id, &format!("invalid spec: {e}")), 0);
-        }
-    };
-    let cfg = config_from(req);
-    let stat = normalized_stat(req);
-    let fp = fp_hint.unwrap_or_else(|| {
-        fingerprint(
-            app_spec,
-            req.soft.as_ref(),
-            req.weakly_hard.as_ref(),
-            &stat,
-            &cfg,
-        )
-    });
+    let hex = p.fp.hex();
     let mut warm_bound = None;
-    match shard.cache.lock().expect("cache lock").lookup(&fp) {
+    match lock(&shard.cache).lookup(&p.fp) {
         Lookup::Exact(export) => {
             counter!(keys::SERVE_CACHE_HITS).incr();
-            netdag_trace::instant("serve.cache_hit", &[("fingerprint", fp.hex().into())]);
-            let mut resp = Response::status(id, STATUS_OK);
+            netdag_trace::instant("serve.cache_hit", &[("fingerprint", hex.clone().into())]);
+            let mut resp = scheduled(id, true, true, false, hex);
             resp.result = Some(export);
-            resp.complete = Some(true);
-            resp.cached = Some(true);
-            resp.warm_started = Some(false);
-            resp.fingerprint = Some(fp.hex());
             return (resp, 0);
         }
         Lookup::Warm(makespan_us) => {
@@ -1400,7 +1432,7 @@ fn handle_solve(
         Lookup::Miss => counter!(keys::SERVE_CACHE_MISSES).incr(),
     }
 
-    let deadline = req.deadline_ms.map(Duration::from_millis);
+    let deadline = deadline_ms.map(Duration::from_millis);
     let started = Instant::now();
     let mut keep_going = move |_: &netdag_solver::SearchStats| match deadline {
         Some(d) => started.elapsed() < d,
@@ -1409,71 +1441,10 @@ fn handle_solve(
     let mut control = SolveControl::warm(warm_bound, &mut keep_going);
     control.step_nodes = shared.cfg.step_nodes;
 
-    let solved: Result<ControlledOutcome, ScheduleError> = if let Some(soft) = req.soft.as_ref() {
-        let Some(fss) = req
-            .stat
-            .as_ref()
-            .and_then(|s| s.fss)
-            .filter(|_| stat.kind == "eq15")
-        else {
-            counter!(keys::SERVE_ERRORS).incr();
-            return (
-                Response::error(
-                    id,
-                    "soft solving needs \"stat\": {\"kind\": \"eq15\", \"fss\": …}",
-                ),
-                0,
-            );
-        };
-        match soft.build(&names) {
-            Ok(f) => schedule_soft_controlled(
-                &app,
-                &Eq15Statistic::new(fss, cfg.chi_max),
-                &f,
-                &Deadlines::new(),
-                &cfg,
-                &mut control,
-            ),
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return (Response::error(id, &format!("invalid spec: {e}")), 0);
-            }
-        }
-    } else {
-        if stat.kind != "eq13" {
-            counter!(keys::SERVE_ERRORS).incr();
-            return (
-                Response::error(
-                    id,
-                    "weakly hard solving needs \"stat\": {\"kind\": \"eq13\"}",
-                ),
-                0,
-            );
-        }
-        let f = match req.weakly_hard.as_ref() {
-            Some(spec) => match spec.build(&names) {
-                Ok(f) => f,
-                Err(e) => {
-                    counter!(keys::SERVE_ERRORS).incr();
-                    return (Response::error(id, &format!("invalid spec: {e}")), 0);
-                }
-            },
-            None => WeaklyHardConstraints::new(),
-        };
-        schedule_weakly_hard_controlled(
-            &app,
-            &Eq13Statistic::new(cfg.chi_max),
-            &f,
-            &Deadlines::new(),
-            &cfg,
-            &mut control,
-        )
-    };
-
-    match solved {
+    match p.mixes[0].solve(&p.app, &p.cfg, &mut control) {
         Ok(controlled) => {
             let nodes = controlled.outcome.stats.as_ref().map_or(0, |s| s.nodes);
-            let makespan = controlled.outcome.schedule.makespan(&app);
+            let makespan = controlled.outcome.schedule.makespan(&p.app);
             let export = ScheduleExport {
                 schedule: controlled.outcome.schedule.clone(),
                 makespan_us: makespan,
@@ -1481,52 +1452,19 @@ fn handle_solve(
                 optimal: controlled.outcome.optimal,
             };
             if controlled.complete {
-                shard
-                    .cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(fp, export.clone(), makespan);
+                lock(&shard.cache).insert(p.fp, export.clone(), makespan);
                 // Fleet-total gauge; the per-shard locks are taken one
                 // at a time (never nested), so this cannot deadlock
                 // with another worker doing the same.
-                let total: u64 = shared
-                    .shards
-                    .iter()
-                    .map(|s| s.cache.lock().expect("cache lock").stats().entries)
-                    .sum();
-                shared.gauges.cache_entries.set(total);
+                let total: usize = shared.shards.iter().map(|s| lock(&s.cache).lru.len()).sum();
+                shared.gauges.cache_entries.set(total as u64);
             } else {
                 counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
                 shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
             }
-            let mut resp = Response::status(
-                id,
-                if controlled.complete {
-                    STATUS_OK
-                } else {
-                    STATUS_INCOMPLETE
-                },
-            );
+            let mut resp = scheduled(id, controlled.complete, false, warm_bound.is_some(), hex);
             resp.result = Some(export);
-            resp.complete = Some(controlled.complete);
-            resp.cached = Some(false);
-            resp.warm_started = Some(warm_bound.is_some());
-            resp.fingerprint = Some(fp.hex());
             (resp, nodes)
-        }
-        Err(ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_)) => {
-            let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason = Some("no χ assignment within chi-max meets the constraints".to_owned());
-            resp.fingerprint = Some(fp.hex());
-            (resp, 0)
-        }
-        // Normally caught pre-admission; kept as the worker-path answer
-        // for configurations the connection-thread check skips.
-        Err(ScheduleError::InfeasibleTiming(e)) => {
-            let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("timing presolve: {e}"));
-            resp.fingerprint = Some(fp.hex());
-            (resp, 0)
         }
         Err(ScheduleError::Interrupted) => {
             counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
@@ -1536,13 +1474,10 @@ fn handle_solve(
                 "deadline expired before any feasible schedule was found",
             );
             resp.complete = Some(false);
-            resp.fingerprint = Some(fp.hex());
+            resp.fingerprint = Some(hex);
             (resp, 0)
         }
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            (Response::error(id, &format!("scheduling failed: {e}")), 0)
-        }
+        Err(e) => (refused(id, e, hex, "the constraints"), 0),
     }
 }
 
@@ -1552,184 +1487,108 @@ fn handle_solve(
 /// document `netdag schedule --modes --out` writes. The second tuple
 /// element is the joint solve's search-node count (zero for cache hits
 /// and error paths).
-fn handle_mode_solve(shard: &ShardState, req: &Request) -> (Response, u64) {
+fn handle_mode_solve(
+    shard: &ShardState,
+    req: &Request,
+    cfg: &SchedulerConfig,
+    key: Option<u64>,
+) -> (Response, u64) {
     let id = req.id;
-    let Some(spec) = req.modes.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (Response::error(id, "mode_solve needs a \"modes\" spec"), 0);
+    let (Some(spec), Some(key)) = (req.modes.as_ref(), key) else {
+        return (fail(id, "mode_solve needs a \"modes\" spec"), 0);
     };
     if req.app.is_some() || req.soft.is_some() || req.weakly_hard.is_some() {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (
-            Response::error(
-                id,
-                "mode_solve embeds its application and constraints in \"modes\"; \
-                 \"app\"/\"soft\"/\"weakly_hard\" must be absent",
-            ),
-            0,
-        );
+        let reason = "mode_solve embeds its application and constraints in \"modes\"; \
+                      \"app\"/\"soft\"/\"weakly_hard\" must be absent";
+        return (fail(id, reason), 0);
     }
-    let cfg = config_from(req);
-    let key = mode_fingerprint(spec, &cfg);
     let hex = format!("{key:016x}");
-    if let Some(export) = shard
-        .mode_cache
-        .lock()
-        .expect("mode cache lock")
-        .lookup(key)
-    {
+    let hit = lock(&shard.mode_cache).get(&key).map(|e| e.export.clone());
+    if let Some(export) = hit {
         counter!(keys::SERVE_CACHE_HITS).incr();
         netdag_trace::instant("serve.cache_hit", &[("fingerprint", hex.clone().into())]);
-        let mut resp = Response::status(id, STATUS_OK);
+        let mut resp = scheduled(id, true, true, false, hex);
         resp.mode_result = Some(export);
-        resp.complete = Some(true);
-        resp.cached = Some(true);
-        resp.warm_started = Some(false);
-        resp.fingerprint = Some(hex);
         return (resp, 0);
     }
     counter!(keys::SERVE_CACHE_MISSES).incr();
-    match schedule_modes(spec, &cfg) {
+    match schedule_modes(spec, cfg) {
         Ok(outcome) => {
-            let nodes = outcome.stats.nodes;
             let export = outcome.export();
-            shard
-                .mode_cache
-                .lock()
-                .expect("mode cache lock")
-                .insert(key, export.clone());
-            let mut resp = Response::status(id, STATUS_OK);
+            lock(&shard.mode_cache).insert(ModeSnapshotEntry {
+                key,
+                export: export.clone(),
+            });
+            let mut resp = scheduled(id, true, false, false, hex);
             resp.mode_result = Some(export);
-            resp.complete = Some(true);
-            resp.cached = Some(false);
-            resp.warm_started = Some(false);
-            resp.fingerprint = Some(hex);
-            (resp, nodes)
+            (resp, outcome.stats.nodes)
         }
-        Err(ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_)) => {
-            let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason =
-                Some("no χ assignment within chi-max meets every mode's constraints".to_owned());
-            resp.fingerprint = Some(hex);
-            (resp, 0)
-        }
-        // Normally caught pre-admission; kept as the worker-path answer
-        // for configurations the connection-thread check skips.
-        Err(ScheduleError::InfeasibleTiming(e)) => {
-            let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("timing presolve: {e}"));
-            resp.fingerprint = Some(hex);
-            (resp, 0)
-        }
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            (Response::error(id, &format!("scheduling failed: {e}")), 0)
-        }
+        Err(e) => (refused(id, e, hex, "every mode's constraints"), 0),
     }
 }
 
-fn handle_validate(req: &Request) -> Response {
+/// Runs a decoded `validate` request's Monte-Carlo (soft) and
+/// adversarial (weakly hard) checks against the given schedule.
+fn handle_validate(req: &Request, problem: &Result<Problem, String>) -> Response {
     let id = req.id;
-    let Some(app_spec) = req.app.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "validate needs an \"app\" spec");
+    let p = match problem {
+        Ok(p) => p,
+        Err(reason) => return fail(id, reason),
     };
-    let Some(export) = req.schedule.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "validate needs a \"schedule\" document");
-    };
-    if req.soft.is_none() && req.weakly_hard.is_none() {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(
-            id,
-            "validate needs \"soft\" and/or \"weakly_hard\" constraints",
-        );
-    }
-    let (app, names) = match app_spec.build() {
-        Ok(pair) => pair,
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(id, &format!("invalid spec: {e}"));
-        }
-    };
+    let schedule = &req
+        .schedule
+        .as_ref()
+        .expect("decode requires a schedule")
+        .schedule;
     let kappa = req.kappa.unwrap_or(10_000) as usize;
     let trials = req.trials.unwrap_or(50) as usize;
     let seed = req.seed.unwrap_or(2020);
     let policy = ExecPolicy::from_threads(req.threads.unwrap_or(1) as usize);
     let mut report = String::new();
     let mut passed = true;
-    if let Some(spec) = req.soft.as_ref() {
-        let Some(fss) = req.stat.as_ref().and_then(|s| s.fss) else {
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(
-                id,
-                "soft validation needs \"stat\": {\"kind\": \"eq15\", \"fss\": …}",
-            );
-        };
-        let f = match spec.build(&names) {
-            Ok(f) => f,
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return Response::error(id, &format!("invalid spec: {e}"));
+    for mix in &p.mixes {
+        match mix {
+            Mix::Soft(fss, f) => {
+                let stat = Eq15Statistic::new(*fss, 16);
+                for r in validate_soft_par(&p.app, &stat, f, schedule, kappa, 0.999, seed, policy) {
+                    passed &= r.passed;
+                    report.push_str(&format!(
+                        "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
+                        p.app.task(r.task).name,
+                        r.observed,
+                        r.required,
+                        r.margin,
+                        if r.passed { "PASS" } else { "FAIL" }
+                    ));
+                }
             }
-        };
-        let stat = Eq15Statistic::new(fss, 16);
-        for r in validate_soft_par(
-            &app,
-            &stat,
-            &f,
-            &export.schedule,
-            kappa,
-            0.999,
-            seed,
-            policy,
-        ) {
-            passed &= r.passed;
-            report.push_str(&format!(
-                "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
-                app.task(r.task).name,
-                r.observed,
-                r.required,
-                r.margin,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
-        }
-    }
-    if let Some(spec) = req.weakly_hard.as_ref() {
-        let f = match spec.build(&names) {
-            Ok(f) => f,
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return Response::error(id, &format!("invalid spec: {e}"));
+            Mix::WeaklyHard(f) => {
+                let stat = Eq13Statistic::new(16);
+                let reports = match validate_weakly_hard_par(
+                    &p.app,
+                    &stat,
+                    f,
+                    schedule,
+                    kappa.min(2_000),
+                    trials,
+                    seed,
+                    policy,
+                ) {
+                    Ok(r) => r,
+                    Err(e) => return fail(id, &format!("adversarial synthesis failed: {e}")),
+                };
+                for r in reports {
+                    passed &= r.passed;
+                    report.push_str(&format!(
+                        "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
+                        p.app.task(r.task).name,
+                        r.requirement,
+                        r.satisfied,
+                        r.trials,
+                        if r.passed { "PASS" } else { "FAIL" }
+                    ));
+                }
             }
-        };
-        let stat = Eq13Statistic::new(16);
-        let reports = match validate_weakly_hard_par(
-            &app,
-            &stat,
-            &f,
-            &export.schedule,
-            kappa.min(2_000),
-            trials,
-            seed,
-            policy,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return Response::error(id, &format!("adversarial synthesis failed: {e}"));
-            }
-        };
-        for r in reports {
-            passed &= r.passed;
-            report.push_str(&format!(
-                "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
-                app.task(r.task).name,
-                r.requirement,
-                r.satisfied,
-                r.trials,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
         }
     }
     let mut resp = Response::status(id, STATUS_OK);

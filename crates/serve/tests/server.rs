@@ -352,6 +352,54 @@ fn validate_and_protocol_errors() {
     assert!(report.requests >= 7);
 }
 
+/// A request that cannot be built is answered with an error and never
+/// touches the solution cache: neither a missing eq. (15) statistic
+/// nor a constraint that fails to build counts as a lookup, even when
+/// the request is a structural neighbour of a cached entry.
+#[test]
+fn malformed_solves_leave_cache_stats_alone() {
+    let (addr, report_rx) = start_server(ServeConfig::default());
+    let mut c = Client::connect(addr);
+
+    let cached = c.send(&solve_request(1, pipeline_app(), Some(wh_spec(10, 40))));
+    assert_eq!(cached.status, STATUS_OK, "{:?}", cached.reason);
+    let before = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+
+    // Soft constraints without the eq. (15) statistic.
+    let mut no_stat = Request::op("solve");
+    no_stat.id = Some(2);
+    no_stat.app = Some(pipeline_app());
+    no_stat.soft = Some(SoftSpec {
+        constraints: vec![SoftEntry {
+            task: "act".into(),
+            probability: 0.9,
+        }],
+    });
+    let r = c.send(&no_stat);
+    assert_eq!(r.status, STATUS_ERROR);
+    assert!(r.reason.unwrap_or_default().contains("soft solving needs"));
+
+    // m > K: same structure as the cached entry, but it cannot build.
+    let r = c.send(&solve_request(3, pipeline_app(), Some(wh_spec(50, 40))));
+    assert_eq!(r.status, STATUS_ERROR);
+    assert!(r.reason.unwrap_or_default().starts_with("invalid spec"));
+
+    let after = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+    assert_eq!(
+        (after.hits, after.misses, after.warm_starts),
+        (before.hits, before.misses, before.warm_starts)
+    );
+
+    c.send(&Request::op("shutdown"));
+    let _ = report_rx.recv_timeout(Duration::from_secs(30));
+}
+
 /// A spec whose timing subsystem is provably over-constrained (the
 /// soft requirement exceeds what any `χ ≤ chi_max` can deliver on a
 /// single message, a unary row in the difference subsystem) is rejected

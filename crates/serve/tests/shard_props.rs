@@ -306,10 +306,36 @@ fn batch_solve_matches_request_at_a_time() {
     let _ = report_rx.recv_timeout(Duration::from_secs(60));
 }
 
+/// A two-mode set over `app`: `wh` with its window stretched by
+/// `stretch`, and by one more.
+fn mode_request(id: u64, app: AppSpec, wh: &WeaklyHardSpec, stretch: u32) -> Request {
+    let mode = |name: &str, extra| {
+        let mut wh = wh.clone();
+        wh.constraints[0].k += stretch + extra;
+        ModeSpec {
+            name: name.into(),
+            tasks: None,
+            soft: None,
+            weakly_hard: Some(wh),
+            loss: None,
+        }
+    };
+    let mut req = Request::op("mode_solve");
+    req.id = Some(id);
+    req.modes = Some(ModesSpec {
+        app,
+        shared_prefix_rounds: Some(1),
+        modes: vec![mode("nominal", 0), mode("relaxed", 1)],
+    });
+    req
+}
+
 /// A 4-shard daemon's graceful-drain snapshot restores into a 2-shard
 /// daemon: every entry is re-routed through the smaller ring, the
-/// restored count is reported, and each previously solved problem
-/// answers as an exact cache hit with the identical schedule document.
+/// restored count is reported, and each previously solved problem and
+/// mode set answers as an exact cache hit with the identical document.
+/// Restored into a 1-entry cache, the snapshot keeps the newest entry
+/// of each kind.
 #[test]
 fn snapshot_restores_across_shard_counts() {
     let snap_path =
@@ -333,6 +359,19 @@ fn snapshot_restores_across_shard_counts() {
     for (i, (app, wh)) in problems.iter().enumerate() {
         first.push(c.send(&solve_request(i as u64, app.clone(), wh.clone())));
     }
+    // Two mode sets over the first feasible problem, differing in K.
+    let ok = first
+        .iter()
+        .position(|r| r.status == STATUS_OK && r.complete == Some(true))
+        .expect("a feasible problem");
+    let (app, wh) = &problems[ok];
+    let mode_reqs: Vec<Request> = (0..2)
+        .map(|s| mode_request(10 + u64::from(s), app.clone(), wh, s))
+        .collect();
+    let mode_first: Vec<Response> = mode_reqs.iter().map(|r| c.send(r)).collect();
+    for r in &mode_first {
+        assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+    }
     c.send(&Request::op("shutdown"));
     let report_a = report_rx
         .recv_timeout(Duration::from_secs(60))
@@ -348,6 +387,8 @@ fn snapshot_restores_across_shard_counts() {
         .filter(|r| r.status == STATUS_OK && r.complete == Some(true))
         .count();
     assert_eq!(snap.entries.len(), solved);
+    assert_eq!(snap.mode_entries.len(), mode_reqs.len());
+    let restored = (solved + mode_reqs.len()) as u64;
 
     // Second life: 2 shards, same snapshot. Every solved problem is an
     // exact hit with the identical document and zero new solver work.
@@ -359,8 +400,9 @@ fn snapshot_restores_across_shard_counts() {
     let mut c = Client::connect(addr);
     let stats = c.send(&Request::op("cache_stats"));
     let body = stats.cache.expect("cache stats body");
-    assert_eq!(body.restored, solved as u64);
+    assert_eq!(body.restored, restored);
     assert_eq!(body.entries, solved as u64);
+    assert_eq!(body.mode_entries, mode_reqs.len() as u64);
     for (i, (app, wh)) in problems.iter().enumerate() {
         let again = c.send(&solve_request(i as u64, app.clone(), wh.clone()));
         assert_eq!(again.status, first[i].status);
@@ -373,12 +415,52 @@ fn snapshot_restores_across_shard_counts() {
             assert_eq!(again.fingerprint, first[i].fingerprint);
         }
     }
+    for (req, want) in mode_reqs.iter().zip(&mode_first) {
+        let again = c.send(req);
+        assert_eq!(again.cached, Some(true), "mode set {:?} must hit", req.id);
+        assert_eq!(again.mode_result, want.mode_result);
+    }
     c.send(&Request::op("shutdown"));
     let report_b = report_rx
         .recv_timeout(Duration::from_secs(60))
         .expect("second daemon exits");
-    assert_eq!(report_b.restored, solved as u64);
+    assert_eq!(report_b.restored, restored);
     assert_eq!(report_b.cache_hits, solved as u64);
+
+    // Third life: one shard holding one entry of each kind. The restore
+    // keeps the newest line of each kind in the second life's snapshot
+    // — and the newest only.
+    let text = std::fs::read_to_string(&snap_path).expect("snapshot rewritten on drain");
+    let snap: netdag_serve::CacheSnapshot = serde_json::from_str(&text).expect("snapshot parses");
+    let newest = format!("{:016x}", snap.entries.last().expect("solutions").full);
+    let newest_mode = format!("{:016x}", snap.mode_entries.last().expect("modes").key);
+    let cfg_c = ServeConfig {
+        cache_snapshot: Some(snap_path.clone()),
+        cache_capacity: 1,
+        ..sharded(1)
+    };
+    let (addr, report_rx) = start_server(cfg_c);
+    let mut c = Client::connect(addr);
+    let body = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache stats body");
+    assert_eq!((body.entries, body.mode_entries, body.restored), (1, 1, 2));
+    let i = first
+        .iter()
+        .position(|r| r.fingerprint.as_deref() == Some(newest.as_str()))
+        .expect("newest solution was solved in the first life");
+    let (app, wh) = problems[i].clone();
+    let again = c.send(&solve_request(i as u64, app, wh));
+    assert_eq!(again.cached, Some(true), "newest solution must hit");
+    // Newest mode set first: the miss that follows evicts it.
+    let mut by_age: Vec<(&Request, &Response)> = mode_reqs.iter().zip(&mode_first).collect();
+    by_age.sort_by_key(|(_, r)| r.fingerprint.as_deref() != Some(newest_mode.as_str()));
+    for (j, (req, _)) in by_age.into_iter().enumerate() {
+        assert_eq!(c.send(req).cached, Some(j == 0), "only the newest survives");
+    }
+    c.send(&Request::op("shutdown"));
+    let _ = report_rx.recv_timeout(Duration::from_secs(60));
     let _ = std::fs::remove_file(&snap_path);
 }
 

@@ -1,59 +1,26 @@
-//! Robustness integration: composed applications on one bus, node churn,
-//! and beacon budgets.
+//! Robustness integration: node churn and beacon budgets.
 
-use netdag::core::compose::compose;
 use netdag::core::prelude::*;
 use netdag::core::stat::Eq13Statistic;
 use netdag::glossy::link::{Bernoulli, NodeChurn};
 use netdag::glossy::{NodeId, Topology};
 use netdag::lwb::bus::LwbExecutor;
-use netdag::weakly_hard::Constraint;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn pipeline(base: u32) -> Application {
+fn pipeline() -> Application {
     let mut b = Application::builder();
-    let s = b.task("s", NodeId(base), 400);
-    let c = b.task("c", NodeId(base + 1), 900);
-    let a = b.task("a", NodeId(base + 2), 300);
+    let s = b.task("s", NodeId(0), 400);
+    let c = b.task("c", NodeId(1), 900);
+    let a = b.task("a", NodeId(2), 300);
     b.edge(s, c, 8).unwrap();
     b.edge(c, a, 4).unwrap();
     b.build().unwrap()
 }
 
 #[test]
-fn composed_apps_execute_on_one_bus() {
-    let app_a = pipeline(0);
-    let app_b = pipeline(3);
-    let merged = compose(&[&app_a, &app_b]).unwrap();
-    let stat = Eq13Statistic::new(8);
-    let mut f = WeaklyHardConstraints::new();
-    let sink_a = merged.translate(0, TaskId(2));
-    let sink_b = merged.translate(1, TaskId(2));
-    f.set(sink_a, Constraint::any_hit(10, 40).unwrap()).unwrap();
-    f.set(sink_b, Constraint::any_hit(10, 40).unwrap()).unwrap();
-    let out = schedule_weakly_hard(&merged.app, &stat, &f, &SchedulerConfig::greedy()).unwrap();
-    out.schedule.check_feasible(&merged.app).unwrap();
-
-    // Execute the merged schedule over one six-node topology.
-    let topo = Topology::ring(6).unwrap();
-    let exec = LwbExecutor::new(&merged.app, &out.schedule, &topo, NodeId(0)).unwrap();
-    let mut rng = ChaCha8Rng::seed_from_u64(31);
-    let mut link = Bernoulli::new(0.97).unwrap();
-    let trace = exec.run_many(&mut link, 400, &mut rng);
-    // Both applications' sinks run with high (but not perfect) success.
-    for sink in [sink_a, sink_b] {
-        let rate = trace.task_hit_rate(sink);
-        assert!(rate > 0.8, "sink {sink} rate {rate}");
-    }
-    // Bus order interleaves messages of both applications per level.
-    let order = exec.bus_order();
-    assert_eq!(order.len(), merged.app.message_count());
-}
-
-#[test]
 fn node_churn_degrades_application_success_in_bursts() {
-    let app = pipeline(0);
+    let app = pipeline();
     let stat = Eq13Statistic::new(8);
     let out = schedule_weakly_hard(
         &app,
@@ -90,7 +57,7 @@ fn node_churn_degrades_application_success_in_bursts() {
 
 #[test]
 fn beacon_budget_flows_through_the_stack() {
-    let app = pipeline(0);
+    let app = pipeline();
     // Size the beacon from the actual schedule announcement.
     let mut cfg = SchedulerConfig::greedy();
     let draft = schedule_weakly_hard(
