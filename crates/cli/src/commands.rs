@@ -14,8 +14,7 @@ use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::schedule_weakly_hard;
 use netdag_obs::keys;
 use netdag_runtime::ExecPolicy;
-use netdag_validation::soft::validate_soft_par;
-use netdag_validation::weakly_hard::validate_weakly_hard_par;
+use netdag_validation::validate_schedule;
 
 use crate::args::{
     Command, ScheduleOpts, ServeOpts, SoakOpts, StatChoice, TraceOpts, ValidateOpts, USAGE,
@@ -49,8 +48,9 @@ pub enum CliError {
     Schedule(ScheduleError),
     /// The chosen statistic does not fit the constraint mode.
     StatMismatch(&'static str),
-    /// Adversarial pattern synthesis failed during validation.
-    Synthesis(String),
+    /// Validation could not run (zero `--kappa`, or adversarial
+    /// pattern synthesis failed).
+    Validate(String),
     /// Validation needs at least one constraints file.
     NothingToValidate,
     /// A trace file could not be parsed (`trace --check`).
@@ -65,7 +65,7 @@ impl fmt::Display for CliError {
             CliError::Spec(e) => write!(f, "invalid spec: {e}"),
             CliError::Schedule(e) => write!(f, "scheduling failed: {e}"),
             CliError::StatMismatch(hint) => write!(f, "{hint}"),
-            CliError::Synthesis(msg) => write!(f, "adversarial synthesis failed: {msg}"),
+            CliError::Validate(msg) => write!(f, "{msg}"),
             CliError::NothingToValidate => {
                 write!(f, "validate needs --soft and/or --weakly-hard constraints")
             }
@@ -678,9 +678,7 @@ fn validate(opts: &ValidateOpts) -> Result<Output, CliError> {
     if netdag_trace::enabled() {
         netdag_trace::inject(replay::bus_timeline(&app, &export.schedule));
     }
-    let policy = ExecPolicy::from_threads(opts.threads);
-    let mut text = String::new();
-    let mut success = true;
+    let (mut soft, mut weakly_hard) = (None, None);
     if let Some(path) = &opts.soft {
         let StatChoice::Eq15(fss) = opts.stat else {
             return Err(CliError::StatMismatch(
@@ -688,28 +686,7 @@ fn validate(opts: &ValidateOpts) -> Result<Output, CliError> {
             ));
         };
         let spec: SoftSpec = read_json(path)?;
-        let f = spec.build(&names)?;
-        let stat = Eq15Statistic::new(fss, 16);
-        for r in validate_soft_par(
-            &app,
-            &stat,
-            &f,
-            &export.schedule,
-            opts.kappa,
-            0.999,
-            opts.seed,
-            policy,
-        ) {
-            success &= r.passed;
-            text.push_str(&format!(
-                "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
-                app.task(r.task).name,
-                r.observed,
-                r.required,
-                r.margin,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
-        }
+        soft = Some((fss, spec.build(&names)?));
     }
     if let Some(path) = &opts.weakly_hard {
         if opts.stat != StatChoice::Eq13 && opts.soft.is_none() {
@@ -718,31 +695,19 @@ fn validate(opts: &ValidateOpts) -> Result<Output, CliError> {
             ));
         }
         let spec: WeaklyHardSpec = read_json(path)?;
-        let f = spec.build(&names)?;
-        let stat = Eq13Statistic::new(16);
-        let reports = validate_weakly_hard_par(
-            &app,
-            &stat,
-            &f,
-            &export.schedule,
-            opts.kappa.min(2_000),
-            opts.trials,
-            opts.seed,
-            policy,
-        )
-        .map_err(|e| CliError::Synthesis(e.to_string()))?;
-        for r in reports {
-            success &= r.passed;
-            text.push_str(&format!(
-                "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
-                app.task(r.task).name,
-                r.requirement,
-                r.satisfied,
-                r.trials,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
-        }
+        weakly_hard = Some(spec.build(&names)?);
     }
+    let (success, text) = validate_schedule(
+        &app,
+        &export.schedule,
+        soft.as_ref().map(|(fss, f)| (*fss, f)),
+        weakly_hard.as_ref(),
+        opts.kappa,
+        opts.trials,
+        opts.seed,
+        ExecPolicy::from_threads(opts.threads),
+    )
+    .map_err(CliError::Validate)?;
     Ok(Output {
         text,
         success,
@@ -952,6 +917,15 @@ mod tests {
         ))
         .unwrap();
         assert!(validated.success, "{}", validated.text);
+        // Zero runs cannot be sampled: an error, not a panic.
+        let err = run_line(&format!(
+            "validate --app {} --schedule {} --soft {} --stat eq15:1.0 --kappa 0",
+            app.display(),
+            sched.display(),
+            soft.display()
+        ))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Validate(msg) if msg.contains("kappa")));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::error::Error;
 use std::fmt;
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use netdag_runtime::{derive_seed, try_run_indexed, ExecPolicy};
@@ -32,7 +32,7 @@ use crate::flood::{simulate_flood, FloodError, FloodParams};
 use crate::link::LossModel;
 use crate::topology::{NodeId, Topology};
 
-/// Runs per Monte-Carlo chunk in the parallel profilers. Chunk
+/// Runs per Monte-Carlo chunk in the profilers. Chunk
 /// boundaries — and therefore every chunk's derived RNG stream — depend
 /// only on this constant and the chunk index, never on the thread
 /// count, which is what makes parallel runs bit-identical to each other.
@@ -99,12 +99,12 @@ fn chunk_len(total: u32, chunk: u32) -> u32 {
 ///
 /// ```
 /// use netdag_glossy::{SoftProfile, Topology, link::Bernoulli, NodeId};
-/// use rand::SeedableRng;
+/// use netdag_runtime::ExecPolicy;
 ///
 /// let topo = Topology::line(4)?;
-/// let mut link = Bernoulli::new(0.8)?;
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-/// let profile = SoftProfile::measure(&topo, &mut link, NodeId(0), 1..=5, 200, &mut rng)?;
+/// let link = Bernoulli::new(0.8)?;
+/// let profile =
+///     SoftProfile::measure_par(&topo, &link, NodeId(0), 1..=5, 200, 5, ExecPolicy::Serial)?;
 /// assert!(profile.lambda(5) >= profile.lambda(1)); // monotonized
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -119,62 +119,15 @@ impl SoftProfile {
     /// monotonizes the result (running maximum), since the true `λ_s` is
     /// non-decreasing in `N_TX`.
     ///
-    /// # Errors
-    ///
-    /// See [`ProfileError`].
-    pub fn measure<L: LossModel, R: Rng + ?Sized>(
-        topo: &Topology,
-        link: &mut L,
-        initiator: NodeId,
-        n_tx_range: std::ops::RangeInclusive<u32>,
-        runs: u32,
-        rng: &mut R,
-    ) -> Result<Self, ProfileError> {
-        let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
-        if min == 0 || min > max {
-            return Err(ProfileError::BadNtxRange { min, max });
-        }
-        if runs == 0 {
-            return Err(ProfileError::NoRuns);
-        }
-        let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_GLOSSY_PROFILE_SOFT);
-        let mut success = Vec::with_capacity((max - min + 1) as usize);
-        for n_tx in min..=max {
-            let mut ok = 0u32;
-            for _ in 0..runs {
-                let out = simulate_flood(topo, link, &FloodParams { initiator, n_tx }, rng)
-                    .map_err(ProfileError::Flood)?;
-                if out.all_reached() {
-                    ok += 1;
-                }
-                link.advance_between_floods(rng);
-            }
-            success.push(ok as f64 / runs as f64);
-        }
-        // Monotonize with a running maximum.
-        for i in 1..success.len() {
-            if success[i] < success[i - 1] {
-                success[i] = success[i - 1];
-            }
-        }
-        Ok(SoftProfile {
-            n_tx_min: min,
-            success,
-        })
-    }
-
-    /// Parallel, seed-deterministic variant of [`SoftProfile::measure`].
-    ///
     /// The `runs` floods of each `N_TX` value split into fixed
     /// [`PROFILE_CHUNK`]-sized chunks; chunk `c` of `N_TX = n` runs on a
     /// fresh clone of `link` with its own ChaCha stream seeded by
-    /// `derive_seed(master_seed, n, c)`. Per-`N_TX` success counts are
-    /// integer sums over chunks, so the result depends only on
-    /// `(topo, link, master_seed)` — any [`ExecPolicy`] produces
-    /// bit-identical tables. (The table differs from the serial
-    /// [`SoftProfile::measure`] for a given RNG, which threads one link
-    /// state and one stream through all runs; both are valid estimators
-    /// of the same statistic.)
+    /// `derive_seed(master_seed, n, c)`. A stateful channel
+    /// (Gilbert–Elliott bursts, node churn) therefore restarts from
+    /// `link`'s state every [`PROFILE_CHUNK`] (256) floods. Per-`N_TX`
+    /// success counts are integer sums over chunks, so the result
+    /// depends only on `(topo, link, master_seed)` — any [`ExecPolicy`]
+    /// produces bit-identical tables.
     ///
     /// # Errors
     ///
@@ -295,59 +248,10 @@ impl WeaklyHardProfile {
     /// observed miss count over any window of `window`, adds
     /// `safety_margin`, and monotonizes (running minimum in `N_TX`).
     ///
-    /// # Errors
-    ///
-    /// See [`ProfileError`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure<L: LossModel, R: Rng + ?Sized>(
-        topo: &Topology,
-        link: &mut L,
-        initiator: NodeId,
-        n_tx_range: std::ops::RangeInclusive<u32>,
-        window: u32,
-        kappa: u32,
-        safety_margin: u32,
-        rng: &mut R,
-    ) -> Result<Self, ProfileError> {
-        let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
-        if min == 0 || min > max || window == 0 {
-            return Err(ProfileError::BadNtxRange { min, max });
-        }
-        if kappa == 0 {
-            return Err(ProfileError::NoRuns);
-        }
-        let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_GLOSSY_PROFILE_WEAKLY_HARD);
-        let mut misses = Vec::with_capacity((max - min + 1) as usize);
-        for n_tx in min..=max {
-            let mut seq = Sequence::with_capacity(kappa as usize);
-            for _ in 0..kappa {
-                let out = simulate_flood(topo, link, &FloodParams { initiator, n_tx }, rng)
-                    .map_err(ProfileError::Flood)?;
-                seq.push(out.all_reached());
-                link.advance_between_floods(rng);
-            }
-            let worst = seq.max_window_misses(window as usize).unwrap_or(0) as u32;
-            misses.push((worst + safety_margin).min(window));
-        }
-        // Monotonize: more retransmissions may never allow more misses.
-        for i in 1..misses.len() {
-            if misses[i] > misses[i - 1] {
-                misses[i] = misses[i - 1];
-            }
-        }
-        Ok(WeaklyHardProfile {
-            n_tx_min: min,
-            window,
-            misses,
-        })
-    }
-
-    /// Parallel, seed-deterministic variant of
-    /// [`WeaklyHardProfile::measure`], chunked like
-    /// [`SoftProfile::measure_par`].
-    ///
-    /// Each chunk simulates its slice of the `kappa`-flood run on a fresh
-    /// clone of `link` with its own derived ChaCha stream; the per-chunk
+    /// Chunked like [`SoftProfile::measure_par`]: each chunk simulates
+    /// its slice of the `kappa`-flood run on a fresh clone of `link` with
+    /// its own derived ChaCha stream, so a stateful channel restarts from
+    /// `link`'s state every [`PROFILE_CHUNK`] (256) floods. The per-chunk
     /// hit/miss slices concatenate *in chunk order* into the full
     /// sequence before the windowed miss count is taken, so the table is
     /// a pure function of `(topo, link, master_seed)` — identical at any
@@ -699,9 +603,10 @@ mod tests {
     #[test]
     fn soft_profile_monotone_and_sane() {
         let topo = Topology::line(4).unwrap();
-        let mut link = Bernoulli::new(0.7).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let p = SoftProfile::measure(&topo, &mut link, NodeId(0), 1..=6, 300, &mut rng).unwrap();
+        let link = Bernoulli::new(0.7).unwrap();
+        let p =
+            SoftProfile::measure_par(&topo, &link, NodeId(0), 1..=6, 300, 7, ExecPolicy::Serial)
+                .unwrap();
         assert_eq!(p.n_tx_min(), 1);
         assert_eq!(p.n_tx_max(), 6);
         for n in 1..6 {
@@ -718,28 +623,39 @@ mod tests {
     #[test]
     fn soft_profile_perfect_channel_is_one() {
         let topo = Topology::star(5).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let p = SoftProfile::measure(&topo, &mut Perfect::new(), NodeId(0), 1..=3, 50, &mut rng)
-            .unwrap();
+        let p = SoftProfile::measure_par(
+            &topo,
+            &Perfect::new(),
+            NodeId(0),
+            1..=3,
+            50,
+            8,
+            ExecPolicy::Serial,
+        )
+        .unwrap();
         assert!(p.table().iter().all(|&s| s == 1.0));
     }
 
     #[test]
     fn soft_profile_validation() {
         let topo = Topology::line(2).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let measure = |range, runs, initiator| {
+            SoftProfile::measure_par(
+                &topo,
+                &Perfect::new(),
+                NodeId(initiator),
+                range,
+                runs,
+                0,
+                ExecPolicy::Serial,
+            )
+        };
         assert!(matches!(
-            SoftProfile::measure(&topo, &mut Perfect::new(), NodeId(0), 0..=3, 10, &mut rng),
+            measure(0..=3, 10, 0),
             Err(ProfileError::BadNtxRange { .. })
         ));
-        assert!(matches!(
-            SoftProfile::measure(&topo, &mut Perfect::new(), NodeId(0), 1..=3, 0, &mut rng),
-            Err(ProfileError::NoRuns)
-        ));
-        assert!(matches!(
-            SoftProfile::measure(&topo, &mut Perfect::new(), NodeId(9), 1..=3, 5, &mut rng),
-            Err(ProfileError::Flood(_))
-        ));
+        assert!(matches!(measure(1..=3, 0, 0), Err(ProfileError::NoRuns)));
+        assert!(matches!(measure(1..=3, 5, 9), Err(ProfileError::Flood(_))));
     }
 
     #[test]
@@ -753,11 +669,19 @@ mod tests {
     #[test]
     fn weakly_hard_profile_monotone_in_preorder() {
         let topo = Topology::line(4).unwrap();
-        let mut link = GilbertElliott::new(0.05, 0.3, 0.98, 0.3).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let p =
-            WeaklyHardProfile::measure(&topo, &mut link, NodeId(0), 1..=5, 20, 400, 1, &mut rng)
-                .unwrap();
+        let link = GilbertElliott::new(0.05, 0.3, 0.98, 0.3).unwrap();
+        let p = WeaklyHardProfile::measure_par(
+            &topo,
+            &link,
+            NodeId(0),
+            1..=5,
+            20,
+            400,
+            1,
+            21,
+            ExecPolicy::Serial,
+        )
+        .unwrap();
         assert_eq!(p.window(), 20);
         for n in 1..5 {
             let harder = p.lambda(n + 1);
@@ -793,16 +717,16 @@ mod tests {
     #[test]
     fn perfect_channel_weakly_hard_allows_margin_only() {
         let topo = Topology::star(4).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let p = WeaklyHardProfile::measure(
+        let p = WeaklyHardProfile::measure_par(
             &topo,
-            &mut Perfect::new(),
+            &Perfect::new(),
             NodeId(0),
             1..=2,
             10,
             100,
             1,
-            &mut rng,
+            4,
+            ExecPolicy::Serial,
         )
         .unwrap();
         // No misses observed, so the table is exactly the safety margin.
@@ -865,20 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_par_rejects_bad_input() {
-        let topo = Topology::line(3).unwrap();
-        let link = Bernoulli::new(0.9).unwrap();
-        assert!(matches!(
-            SoftProfile::measure_par(&topo, &link, NodeId(0), 1..=3, 0, 1, ExecPolicy::Serial),
-            Err(ProfileError::NoRuns)
-        ));
-        assert!(matches!(
-            SoftProfile::measure_par(&topo, &link, NodeId(9), 1..=3, 10, 1, ExecPolicy::Serial),
-            Err(ProfileError::Flood(_))
-        ));
-    }
-
-    #[test]
     fn profile_error_flood_is_structured() {
         use crate::flood::FloodError;
         use std::error::Error as _;
@@ -928,7 +838,18 @@ mod tests {
         // fingerprint becomes None and the cache must recompute every call.
         let mut warm = GilbertElliott::new(0.1, 0.3, 0.9, 0.2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let _ = SoftProfile::measure(&topo, &mut warm, NodeId(0), 1..=2, 10, &mut rng).unwrap();
+        for n_tx in 1..=2 {
+            simulate_flood(
+                &topo,
+                &mut warm,
+                &FloodParams {
+                    initiator: NodeId(0),
+                    n_tx,
+                },
+                &mut rng,
+            )
+            .unwrap();
+        }
         assert!(warm.fingerprint().is_none());
         assert!(warm.stateful());
         let cache = StatCache::new();

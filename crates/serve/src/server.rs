@@ -71,7 +71,7 @@ use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use netdag_core::app::Application;
@@ -85,8 +85,7 @@ use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::{presolve_weakly_hard, schedule_weakly_hard_controlled};
 use netdag_obs::{counter, keys, Gauge, SloGate, SloInputs, SloReport, WindowedHist};
 use netdag_runtime::{run_indexed, ExecPolicy};
-use netdag_validation::soft::validate_soft_par;
-use netdag_validation::weakly_hard::validate_weakly_hard_par;
+use netdag_validation::validate_schedule;
 
 use crate::cache::{Lookup, ModeCache, SolutionCache};
 use crate::fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
@@ -534,6 +533,11 @@ struct Shared {
     /// Baseline of the last interval snapshot, so each written file is
     /// a true delta covering only its own interval.
     snap_base: Mutex<netdag_obs::MetricsReport>,
+    /// Upper bound on a request's `threads` and `config.threads`: the
+    /// machine's available parallelism, read once, by the first request
+    /// that names a thread count (the read costs tens of µs, a sizable
+    /// share of a daemon start).
+    max_threads: OnceLock<u64>,
 }
 
 impl Shared {
@@ -604,6 +608,7 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
         gauges: Gauges::new(),
         access,
         snap_base: Mutex::new(netdag_obs::global().snapshot()),
+        max_threads: OnceLock::new(),
     };
     shared.gauges.shards.set(nshards as u64);
     // Warm restart: load the predecessor's cache before accepting any
@@ -823,7 +828,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 /// poller observes identical counters across consecutive probes of an
 /// idle daemon.
 fn process_line(shared: &Shared, line: &str) -> Response {
-    let req: Request = match serde_json::from_str(line) {
+    let mut req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -831,6 +836,13 @@ fn process_line(shared: &Shared, line: &str) -> Response {
             return fail(None, &format!("bad request: {e}"));
         }
     };
+    let config_threads = req.config.as_mut().and_then(|c| c.threads.as_mut());
+    for threads in req.threads.iter_mut().chain(config_threads) {
+        let cap = shared
+            .max_threads
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64));
+        *threads = clamp_threads(*threads, *cap);
+    }
     match req.op.as_str() {
         "metrics" => return handle_metrics(shared, &req),
         "health" => return handle_health(shared, &req),
@@ -1318,6 +1330,16 @@ fn write_interval_snapshot(shared: &Shared) {
     }
 }
 
+/// Bounds a wire-supplied thread count by `cap`, keeping `0` (auto).
+/// Results never depend on the thread count, so this changes no
+/// answer; it stops one request from making the daemon start more OS
+/// threads than the machine has cores (`run_indexed` starts
+/// `min(threads, jobs)`, and a weakly hard validation has
+/// `tasks × trials` jobs).
+fn clamp_threads(requested: u64, cap: u64) -> u64 {
+    requested.min(cap)
+}
+
 /// Maps a request's optional [`crate::protocol::ConfigSpec`] to a
 /// [`SchedulerConfig`] with exactly the CLI's `netdag schedule`
 /// defaults, so an unconfigured request solves the same problem the
@@ -1540,58 +1562,41 @@ fn handle_validate(req: &Request, problem: &Result<Problem, String>) -> Response
         .as_ref()
         .expect("decode requires a schedule")
         .schedule;
-    let kappa = req.kappa.unwrap_or(10_000) as usize;
-    let trials = req.trials.unwrap_or(50) as usize;
-    let seed = req.seed.unwrap_or(2020);
-    let policy = ExecPolicy::from_threads(req.threads.unwrap_or(1) as usize);
-    let mut report = String::new();
-    let mut passed = true;
+    let (mut soft, mut weakly_hard) = (None, None);
     for mix in &p.mixes {
         match mix {
-            Mix::Soft(fss, f) => {
-                let stat = Eq15Statistic::new(*fss, 16);
-                for r in validate_soft_par(&p.app, &stat, f, schedule, kappa, 0.999, seed, policy) {
-                    passed &= r.passed;
-                    report.push_str(&format!(
-                        "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
-                        p.app.task(r.task).name,
-                        r.observed,
-                        r.required,
-                        r.margin,
-                        if r.passed { "PASS" } else { "FAIL" }
-                    ));
-                }
-            }
-            Mix::WeaklyHard(f) => {
-                let stat = Eq13Statistic::new(16);
-                let reports = match validate_weakly_hard_par(
-                    &p.app,
-                    &stat,
-                    f,
-                    schedule,
-                    kappa.min(2_000),
-                    trials,
-                    seed,
-                    policy,
-                ) {
-                    Ok(r) => r,
-                    Err(e) => return fail(id, &format!("adversarial synthesis failed: {e}")),
-                };
-                for r in reports {
-                    passed &= r.passed;
-                    report.push_str(&format!(
-                        "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
-                        p.app.task(r.task).name,
-                        r.requirement,
-                        r.satisfied,
-                        r.trials,
-                        if r.passed { "PASS" } else { "FAIL" }
-                    ));
-                }
-            }
+            Mix::Soft(fss, f) => soft = Some((*fss, f)),
+            Mix::WeaklyHard(f) => weakly_hard = Some(f),
         }
     }
+    let (passed, report) = match validate_schedule(
+        &p.app,
+        schedule,
+        soft,
+        weakly_hard,
+        req.kappa.unwrap_or(10_000) as usize,
+        req.trials.unwrap_or(50) as usize,
+        req.seed.unwrap_or(2020),
+        ExecPolicy::from_threads(req.threads.unwrap_or(1) as usize),
+    ) {
+        Ok(verdict) => verdict,
+        Err(reason) => return fail(id, &reason),
+    };
     let mut resp = Response::status(id, STATUS_OK);
     resp.validation = Some(ValidationReport { passed, report });
     resp
+}
+
+#[cfg(test)]
+mod tests {
+    use super::clamp_threads;
+
+    #[test]
+    fn clamp_threads_caps_at_the_machine_and_keeps_auto() {
+        assert_eq!(clamp_threads(0, 4), 0);
+        assert_eq!(clamp_threads(1, 4), 1);
+        assert_eq!(clamp_threads(4, 4), 4);
+        assert_eq!(clamp_threads(5, 4), 4);
+        assert_eq!(clamp_threads(u64::MAX, 2), 2);
+    }
 }

@@ -88,6 +88,7 @@ mod tests {
     use netdag_core::stat::TableSoftStatistic;
     use netdag_glossy::link::{Bernoulli, GilbertElliott};
     use netdag_glossy::{SoftProfile, Topology};
+    use netdag_runtime::ExecPolicy;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -106,9 +107,10 @@ mod tests {
         // Profile the actual channel, schedule against the profile, then
         // replay on the same channel: must pass.
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let mut chan = Bernoulli::new(0.85).unwrap();
+        let chan = Bernoulli::new(0.85).unwrap();
         let profile =
-            SoftProfile::measure(&topo, &mut chan, NodeId(0), 1..=8, 400, &mut rng).unwrap();
+            SoftProfile::measure_par(&topo, &chan, NodeId(0), 1..=8, 400, 10, ExecPolicy::Serial)
+                .unwrap();
         let stat: TableSoftStatistic = profile.into();
         let mut f = SoftConstraints::new();
         f.set(a, 0.9).unwrap();

@@ -14,7 +14,10 @@
 //!   observed task traces;
 //! * [`modes`] — multi-mode deployments: splice per-mode simulations at a
 //!   runtime mode switch and check that soft and weakly hard guarantees
-//!   hold on windows *spanning* the switch, not just within each mode.
+//!   hold on windows *spanning* the switch, not just within each mode;
+//! * [`check`] — the one `validate` procedure the CLI and the serve
+//!   daemon share: fixed statistics and budgets, one report line per
+//!   task.
 //!
 //! # Example
 //!
@@ -22,9 +25,9 @@
 //! use netdag_core::prelude::*;
 //! use netdag_core::stat::Eq13Statistic;
 //! use netdag_glossy::NodeId;
-//! use netdag_validation::weakly_hard::validate_weakly_hard;
+//! use netdag_runtime::ExecPolicy;
+//! use netdag_validation::weakly_hard::validate_weakly_hard_par;
 //! use netdag_weakly_hard::Constraint;
-//! use rand::SeedableRng;
 //!
 //! let mut b = Application::builder();
 //! let s = b.task("sense", NodeId(0), 500);
@@ -36,8 +39,8 @@
 //! let stat = Eq13Statistic::new(8);
 //! let out = schedule_weakly_hard(&app, &stat, &f, &SchedulerConfig::default())?;
 //!
-//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-//! let reports = validate_weakly_hard(&app, &stat, &f, &out.schedule, 400, 20, &mut rng)?;
+//! let reports =
+//!     validate_weakly_hard_par(&app, &stat, &f, &out.schedule, 400, 20, 7, ExecPolicy::Serial)?;
 //! assert!(reports.iter().all(|r| r.passed));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -45,15 +48,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod full_stack;
 pub mod modes;
 pub mod soft;
 pub mod weakly_hard;
 
+pub use check::validate_schedule;
 pub use full_stack::{validate_on_bus, BusReport};
 pub use modes::{
     cross_requirement, validate_soft_switch, validate_weakly_hard_switch, SoftSwitchReport,
     WeaklyHardSwitchReport,
 };
-pub use soft::{hoeffding_margin, validate_soft, validate_soft_par, SoftReport};
-pub use weakly_hard::{validate_weakly_hard, validate_weakly_hard_par, WeaklyHardReport};
+pub use soft::{hoeffding_margin, validate_soft_par, SoftReport};
+pub use weakly_hard::{validate_weakly_hard_par, WeaklyHardReport};

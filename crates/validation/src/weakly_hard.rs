@@ -56,49 +56,10 @@ pub fn simulate_task_adversarial<S: WeaklyHardStatistic + ?Sized, R: Rng + ?Size
 /// Validates every weakly hard-constrained task: run `trials` adversarial
 /// simulations of `κ` runs each and check `ω_τ ⊢ F_WH(τ)` exactly.
 ///
-/// # Errors
-///
-/// Propagates [`SynthesisError`] from pattern synthesis.
-pub fn validate_weakly_hard<S: WeaklyHardStatistic + ?Sized, R: Rng + ?Sized>(
-    app: &Application,
-    stat: &S,
-    constraints: &WeaklyHardConstraints,
-    schedule: &Schedule,
-    kappa: usize,
-    trials: usize,
-    rng: &mut R,
-) -> Result<Vec<WeaklyHardReport>, SynthesisError> {
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_VALIDATION_WEAKLY_HARD);
-    let mut out = Vec::new();
-    for (task, requirement) in constraints.iter() {
-        netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TASKS).incr();
-        netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TRIALS).add(trials as u64);
-        let mut satisfied = 0usize;
-        for _ in 0..trials {
-            let omega = simulate_task_adversarial(app, stat, schedule, task, kappa, rng)?;
-            if requirement.models(&omega) {
-                satisfied += 1;
-            }
-        }
-        out.push(WeaklyHardReport {
-            task,
-            requirement,
-            trials,
-            satisfied,
-            passed: satisfied == trials,
-        });
-    }
-    Ok(out)
-}
-
-/// Parallel variant of [`validate_weakly_hard`]: every `(task, trial)`
-/// pair is an independent adversarial simulation, fanned out across
-/// threads. Each pair derives its own ChaCha stream from
-/// `(master_seed, task index, trial index)`, so the reports depend only
-/// on `master_seed` and the inputs, never on `policy`. The seeding
-/// contract differs from [`validate_weakly_hard`] (which consumes a
-/// shared `&mut R`), so equality with the serial function is not
-/// expected; equality across `policy` values is.
+/// Every `(task, trial)` pair is an independent adversarial simulation,
+/// fanned out across threads. Each pair derives its own ChaCha stream
+/// from `(master_seed, task index, trial index)`, so the reports depend
+/// only on `master_seed` and the inputs, never on `policy`.
 ///
 /// # Errors
 ///
@@ -125,19 +86,6 @@ pub fn validate_weakly_hard_par<S: WeaklyHardStatistic + Sync + ?Sized>(
     netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TASKS).add(tasks.len() as u64);
     netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TRIALS)
         .add((tasks.len() * trials) as u64);
-    if trials == 0 {
-        // Vacuously passed, matching the serial loop's behavior.
-        return Ok(tasks
-            .into_iter()
-            .map(|(task, requirement)| WeaklyHardReport {
-                task,
-                requirement,
-                trials,
-                satisfied: 0,
-                passed: true,
-            })
-            .collect());
-    }
     let verdicts = try_run_indexed(
         policy,
         tasks.len() * trials,
@@ -153,10 +101,13 @@ pub fn validate_weakly_hard_par<S: WeaklyHardStatistic + Sync + ?Sized>(
             Ok(requirement.models(&omega))
         },
     )?;
+    // With `trials == 0` every slice is empty and every task passes
+    // vacuously.
     Ok(tasks
         .iter()
-        .zip(verdicts.chunks_exact(trials))
-        .map(|(&(task, requirement), task_verdicts)| {
+        .enumerate()
+        .map(|(i, &(task, requirement))| {
+            let task_verdicts = &verdicts[i * trials..(i + 1) * trials];
             let satisfied = task_verdicts.iter().filter(|&&ok| ok).count();
             WeaklyHardReport {
                 task,
@@ -179,7 +130,7 @@ pub enum ExhaustiveVerdict {
     /// conjunction behavior that the statistic permits.
     CounterexampleExists,
     /// The statistic's windows are too large for the automaton product;
-    /// fall back to [`validate_weakly_hard`] sampling.
+    /// fall back to [`validate_weakly_hard_par`] sampling.
     TooLarge,
 }
 
@@ -237,19 +188,6 @@ pub fn verify_task_exhaustive<S: WeaklyHardStatistic + ?Sized>(
     }
 }
 
-/// Runs [`verify_task_exhaustive`] for every constrained task.
-pub fn validate_weakly_hard_exhaustive<S: WeaklyHardStatistic + ?Sized>(
-    app: &Application,
-    stat: &S,
-    constraints: &WeaklyHardConstraints,
-    schedule: &Schedule,
-) -> Vec<(TaskId, ExhaustiveVerdict)> {
-    constraints
-        .iter()
-        .map(|(task, req)| (task, verify_task_exhaustive(app, stat, schedule, task, req)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,9 +213,17 @@ mod tests {
         let mut f = WeaklyHardConstraints::new();
         f.set(a, Constraint::any_hit(10, 40).unwrap()).unwrap();
         let out = schedule_weakly_hard(&app, &stat, &f, &SchedulerConfig::default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let reports =
-            validate_weakly_hard(&app, &stat, &f, &out.schedule, 400, 40, &mut rng).unwrap();
+        let reports = validate_weakly_hard_par(
+            &app,
+            &stat,
+            &f,
+            &out.schedule,
+            400,
+            40,
+            5,
+            ExecPolicy::Serial,
+        )
+        .unwrap();
         assert_eq!(reports.len(), 1);
         assert!(reports[0].passed, "{reports:?}");
     }
@@ -297,9 +243,17 @@ mod tests {
         // Demand more than (8̄, 20) supports: ≥ 16 hits per 20.
         let mut f = WeaklyHardConstraints::new();
         f.set(a, Constraint::any_hit(16, 20).unwrap()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let reports =
-            validate_weakly_hard(&app, &stat, &f, &out.schedule, 300, 20, &mut rng).unwrap();
+        let reports = validate_weakly_hard_par(
+            &app,
+            &stat,
+            &f,
+            &out.schedule,
+            300,
+            20,
+            6,
+            ExecPolicy::Serial,
+        )
+        .unwrap();
         assert!(!reports[0].passed, "{reports:?}");
         assert!(reports[0].satisfied < reports[0].trials);
     }
@@ -341,6 +295,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_trials_pass_vacuously() {
+        let (app, a) = two_hop();
+        let stat = Eq13Statistic::new(8);
+        let mut f = WeaklyHardConstraints::new();
+        f.set(a, Constraint::any_hit(10, 40).unwrap()).unwrap();
+        let out = schedule_weakly_hard(&app, &stat, &f, &SchedulerConfig::default()).unwrap();
+        let reports = validate_weakly_hard_par(
+            &app,
+            &stat,
+            &f,
+            &out.schedule,
+            400,
+            0,
+            5,
+            ExecPolicy::Serial,
+        )
+        .unwrap();
+        assert_eq!(reports.len(), 1);
+        assert_eq!((reports[0].trials, reports[0].satisfied), (0, 0));
+        assert!(reports[0].passed);
+    }
+
+    #[test]
     fn adversarial_sequences_respect_each_flood_bound() {
         let (app, a) = two_hop();
         let stat = Eq13Statistic::new(8);
@@ -377,9 +354,11 @@ mod tests {
         let mut f = WeaklyHardConstraints::new();
         f.set(a, Constraint::any_hit(6, 10).unwrap()).unwrap();
         let out = schedule_weakly_hard(&app, &stat, &f, &SchedulerConfig::default()).unwrap();
-        let verdicts = validate_weakly_hard_exhaustive(&app, &stat, &f, &out.schedule);
-        assert_eq!(verdicts.len(), 1);
-        assert_eq!(verdicts[0].1, ExhaustiveVerdict::Proven, "{verdicts:?}");
+        let requirement = f.get(a).expect("constrained");
+        assert_eq!(
+            verify_task_exhaustive(&app, &stat, &out.schedule, a, requirement),
+            ExhaustiveVerdict::Proven
+        );
 
         // A requirement beyond what the scheduled χ guarantees has a
         // counterexample: check against a stricter, unscheduled demand.

@@ -10,6 +10,7 @@ use netdag::core::stat::{TableSoftStatistic, TableWeaklyHardStatistic};
 use netdag::glossy::link::{Bernoulli, GilbertElliott};
 use netdag::glossy::{NodeId, SoftProfile, Topology, WeaklyHardProfile};
 use netdag::lwb::EnergyModel;
+use netdag::solver::ExecPolicy;
 use netdag::validation::full_stack::validate_on_bus;
 use netdag::weakly_hard::Constraint;
 use rand::SeedableRng;
@@ -30,12 +31,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Profile the channel (what the paper gets from a testbed). ---
     println!("profiling λ_s and λ_WH on a bursty Gilbert–Elliott channel…");
-    let mut channel = GilbertElliott::new(0.05, 0.25, 0.99, 0.35)?;
-    let soft_profile = SoftProfile::measure(&topo, &mut channel, NodeId(0), 1..=8, 600, &mut rng)?;
+    let channel = GilbertElliott::new(0.05, 0.25, 0.99, 0.35)?;
+    let soft_profile = SoftProfile::measure_par(
+        &topo,
+        &channel,
+        NodeId(0),
+        1..=8,
+        600,
+        1234,
+        ExecPolicy::Serial,
+    )?;
     println!("  λ_s table: {:?}", soft_profile.table());
-    let mut channel2 = GilbertElliott::new(0.05, 0.25, 0.99, 0.35)?;
-    let wh_profile =
-        WeaklyHardProfile::measure(&topo, &mut channel2, NodeId(0), 1..=8, 20, 800, 1, &mut rng)?;
+    let wh_profile = WeaklyHardProfile::measure_par(
+        &topo,
+        &channel,
+        NodeId(0),
+        1..=8,
+        20,
+        800,
+        1,
+        1234,
+        ExecPolicy::Serial,
+    )?;
     println!(
         "  λ_WH miss table (window 20): {:?}",
         wh_profile.miss_table()

@@ -7,9 +7,10 @@ use netdag::glossy::link::{Bernoulli, GilbertElliott};
 use netdag::glossy::{NodeId, SoftProfile, Topology, WeaklyHardProfile};
 use netdag::lwb::bus::LwbExecutor;
 use netdag::lwb::EnergyModel;
+use netdag::solver::ExecPolicy;
 use netdag::validation::full_stack::validate_on_bus;
-use netdag::validation::soft::validate_soft;
-use netdag::validation::weakly_hard::validate_weakly_hard;
+use netdag::validation::soft::validate_soft_par;
+use netdag::validation::weakly_hard::validate_weakly_hard_par;
 use netdag::weakly_hard::Constraint;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -31,9 +32,17 @@ fn profile_schedule_validate_replay_soft() {
     let mut rng = ChaCha8Rng::seed_from_u64(101);
 
     // 1. Profile the channel.
-    let mut channel = Bernoulli::new(0.8).unwrap();
-    let profile =
-        SoftProfile::measure(&topo, &mut channel, NodeId(0), 1..=8, 500, &mut rng).unwrap();
+    let channel = Bernoulli::new(0.8).unwrap();
+    let profile = SoftProfile::measure_par(
+        &topo,
+        &channel,
+        NodeId(0),
+        1..=8,
+        500,
+        101,
+        ExecPolicy::Serial,
+    )
+    .unwrap();
     let stat: TableSoftStatistic = profile.into();
 
     // 2. Schedule against the profile.
@@ -44,7 +53,16 @@ fn profile_schedule_validate_replay_soft() {
     assert!(out.optimal);
 
     // 3. Statistical validation (eq. (11)).
-    let reports = validate_soft(&app, &stat, &f, &out.schedule, 8_000, 0.999, &mut rng);
+    let reports = validate_soft_par(
+        &app,
+        &stat,
+        &f,
+        &out.schedule,
+        8_000,
+        0.999,
+        101,
+        ExecPolicy::Serial,
+    );
     assert!(reports.iter().all(|r| r.passed), "{reports:?}");
 
     // 4. Replay on the very channel that was profiled.
@@ -71,10 +89,19 @@ fn profile_schedule_validate_replay_weakly_hard() {
     let mut rng = ChaCha8Rng::seed_from_u64(202);
 
     // Bursty channel: the regime weakly hard schedules are made for.
-    let mut channel = GilbertElliott::new(0.05, 0.3, 0.995, 0.4).unwrap();
-    let profile =
-        WeaklyHardProfile::measure(&topo, &mut channel, NodeId(0), 1..=8, 20, 600, 1, &mut rng)
-            .unwrap();
+    let channel = GilbertElliott::new(0.05, 0.3, 0.995, 0.4).unwrap();
+    let profile = WeaklyHardProfile::measure_par(
+        &topo,
+        &channel,
+        NodeId(0),
+        1..=8,
+        20,
+        600,
+        1,
+        202,
+        ExecPolicy::Serial,
+    )
+    .unwrap();
     let stat: TableWeaklyHardStatistic = profile.into();
 
     let mut f = WeaklyHardConstraints::new();
@@ -89,7 +116,17 @@ fn profile_schedule_validate_replay_weakly_hard() {
     out.schedule.check_feasible(&app).unwrap();
 
     // Adversarial validation (eq. (12)).
-    let reports = validate_weakly_hard(&app, &stat, &f, &out.schedule, 300, 30, &mut rng).unwrap();
+    let reports = validate_weakly_hard_par(
+        &app,
+        &stat,
+        &f,
+        &out.schedule,
+        300,
+        30,
+        202,
+        ExecPolicy::Serial,
+    )
+    .unwrap();
     assert!(reports.iter().all(|r| r.passed), "{reports:?}");
 
     // On-bus replay against the same bursty channel.
