@@ -9,9 +9,7 @@ use netdag_core::app::Application;
 use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
 use netdag_core::constraints::WeaklyHardConstraints;
 use netdag_core::modes::{schedule_modes, ModesSpec};
-use netdag_core::soft::schedule_soft;
-use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
-use netdag_core::weakly_hard::schedule_weakly_hard;
+use netdag_core::problem::Mix;
 use netdag_obs::keys;
 use netdag_runtime::ExecPolicy;
 use netdag_validation::validate_schedule;
@@ -599,15 +597,14 @@ fn schedule(opts: &ScheduleOpts) -> Result<Output, CliError> {
     }
     let (app, names) = load_app(&opts.app)?;
     let cfg = config_from(opts);
-    let outcome = if let Some(soft_path) = &opts.soft {
+    let mix = if let Some(soft_path) = &opts.soft {
         let StatChoice::Eq15(fss) = opts.stat else {
             return Err(CliError::StatMismatch(
                 "soft scheduling needs a soft statistic; use --stat eq15:<fss>",
             ));
         };
         let spec: SoftSpec = read_json(soft_path)?;
-        let f = spec.build(&names)?;
-        schedule_soft(&app, &Eq15Statistic::new(fss, cfg.chi_max), &f, &cfg)
+        Mix::Soft(fss, spec.build(&names)?)
     } else {
         let StatChoice::Eq13 = opts.stat else {
             return Err(CliError::StatMismatch(
@@ -621,10 +618,10 @@ fn schedule(opts: &ScheduleOpts) -> Result<Output, CliError> {
             }
             None => WeaklyHardConstraints::new(),
         };
-        schedule_weakly_hard(&app, &Eq13Statistic::new(cfg.chi_max), &f, &cfg)
+        Mix::WeaklyHard(f)
     };
-    let outcome = match outcome {
-        Ok(o) => o,
+    let outcome = match mix.solve(&app, &cfg, None) {
+        Ok(solved) => solved.outcome,
         Err(e) => return infeasible_output(e),
     };
     if netdag_trace::enabled() {

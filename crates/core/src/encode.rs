@@ -13,8 +13,13 @@ use std::sync::Arc;
 use netdag_solver::{Model, PresolveStep, Relaxation, SearchConfig, SearchStats, VarId};
 
 use crate::app::{Application, MsgId, TaskId};
-use crate::config::{InfeasibilityExplanation, ScheduleError, SchedulerConfig};
+use crate::config::{
+    Backend, InfeasibilityExplanation, ScheduleError, ScheduleOutcome, SchedulerConfig,
+};
 use crate::constraints::Deadlines;
+use crate::control::{ControlledOutcome, SolveControl};
+use crate::heuristic::solve_greedy;
+use crate::rounds::build_rounds;
 use crate::schedule::{Round, Schedule};
 
 /// Fixed-point scale for `ln λ` values in the soft encoding.
@@ -104,13 +109,6 @@ pub(crate) struct ModeVars {
     /// Upper bound on this copy's makespan (everything serialized at
     /// maximum χ), used to bound joint objectives.
     horizon: i64,
-}
-
-/// The CSP encoding of one scheduling problem.
-pub(crate) struct EncodedModel {
-    model: Model,
-    vars: ModeVars,
-    node_limit: Option<u64>,
 }
 
 /// Encodes one copy of the scheduling problem (variables + constraints)
@@ -384,34 +382,6 @@ fn encode_into(
     })
 }
 
-/// Builds the full single-mode CSP encoding (variables + constraints)
-/// without solving it, so callers can choose between the batch search
-/// ([`solve_exact`]) and an externally steered engine
-/// ([`solve_exact_controlled`]).
-fn build_model(
-    app: &Application,
-    cfg: &SchedulerConfig,
-    rounds: &[Vec<MsgId>],
-    spec: &ReliabilitySpec,
-    deadlines: &Deadlines,
-) -> Result<EncodedModel, ScheduleError> {
-    let mut model = Model::new();
-    let vars = encode_into(&mut model, "", app, cfg, rounds, spec, deadlines)?;
-    Ok(EncodedModel {
-        model,
-        vars,
-        node_limit: node_limit_of(cfg),
-    })
-}
-
-/// The search-node budget of the configured exact backend.
-fn node_limit_of(cfg: &SchedulerConfig) -> Option<u64> {
-    match cfg.backend {
-        crate::config::Backend::Exact { node_limit } => node_limit,
-        crate::config::Backend::Greedy => None,
-    }
-}
-
 /// Reads one mode's schedule out of a complete solver assignment.
 fn extract_schedule(
     cfg: &SchedulerConfig,
@@ -510,255 +480,185 @@ fn check_presolve_with(
     Ok(())
 }
 
-fn check_presolve(enc: &EncodedModel, app: &Application) -> Result<(), ScheduleError> {
-    let name_of = |v: VarId| {
-        entity_in_mode(app, &enc.vars, v).unwrap_or_else(|| enc.model.var_name(v).to_owned())
-    };
-    check_presolve_with(&enc.model, &name_of)
+/// Names a single-mode variable for a presolve witness.
+fn single_mode_name(app: &Application, model: &Model, vars: &ModeVars, v: VarId) -> String {
+    entity_in_mode(app, vars, v).unwrap_or_else(|| model.var_name(v).to_owned())
 }
 
-/// Builds the encoding and runs only the CPM presolve — the daemon's
-/// pre-admission check: an over-constrained spec is rejected before it
-/// ever occupies a solver slot.
-///
-/// # Errors
-///
-/// [`ScheduleError::InfeasibleTiming`] with the named explanation when
-/// the timing subsystem is provably infeasible; encoding errors as
-/// [`solve_exact`]. `Ok(())` only means the *relaxation* is feasible —
-/// the full problem may still be infeasible (reliability constraints are
-/// not part of the difference subsystem).
-pub(crate) fn presolve_exact(
-    app: &Application,
-    cfg: &SchedulerConfig,
-    rounds: &[Vec<MsgId>],
-    spec: &ReliabilitySpec,
-    deadlines: &Deadlines,
-) -> Result<(), ScheduleError> {
-    let enc = build_model(app, cfg, rounds, spec, deadlines)?;
-    check_presolve(&enc, app)
+/// A single-mode problem whose inputs passed validation: the one
+/// prepare-and-solve body behind the soft and weakly hard entry points.
+pub(crate) struct Prepared<'a> {
+    app: &'a Application,
+    cfg: &'a SchedulerConfig,
+    deadlines: &'a Deadlines,
+    rounds: Vec<Vec<MsgId>>,
+    spec: ReliabilitySpec,
 }
 
-/// Solves the full scheduling problem exactly. Returns the schedule, the
-/// search statistics, and whether optimality was proven.
-///
-/// # Errors
-///
-/// [`ScheduleError::Infeasible`] when no feasible assignment exists within
-/// the configured `chi_max`, or solver errors on malformed input.
-pub(crate) fn solve_exact(
-    app: &Application,
-    cfg: &SchedulerConfig,
-    rounds: &[Vec<MsgId>],
-    spec: &ReliabilitySpec,
-    deadlines: &Deadlines,
-) -> Result<(Schedule, SearchStats, bool), ScheduleError> {
-    let enc = build_model(app, cfg, rounds, spec, deadlines)?;
-    if cfg.lower_bound {
-        // Reject timing-infeasible specs with a named explanation and
-        // zero search nodes, rather than burning the node budget on a
-        // search that can only prove what the closure already knows.
-        check_presolve(&enc, app)?;
+impl<'a> Prepared<'a> {
+    /// Runs the shared checks in their fixed order — configuration,
+    /// `check` (statistic, then constraint map), deadlines — then builds
+    /// the rounds and `encode`'s reliability spec over them.
+    pub(crate) fn new(
+        app: &'a Application,
+        cfg: &'a SchedulerConfig,
+        deadlines: &'a Deadlines,
+        check: impl FnOnce() -> Result<(), ScheduleError>,
+        encode: impl FnOnce(&[Vec<MsgId>]) -> ReliabilitySpec,
+    ) -> Result<Self, ScheduleError> {
+        cfg.validate()?;
+        check()?;
+        deadlines
+            .validate(app)
+            .map_err(ScheduleError::BadDeadline)?;
+        let rounds = build_rounds(app, cfg.round_structure);
+        let spec = encode(&rounds);
+        Ok(Prepared {
+            app,
+            cfg,
+            deadlines,
+            rounds,
+            spec,
+        })
     }
-    // With `portfolio ≥ 2`, race that many diverse configurations over
-    // the runtime fan-out; the race shares the incumbent makespan at
-    // epoch boundaries and is bit-identical at any thread count.
-    let outcome = if cfg.portfolio >= 2 {
-        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, enc.node_limit);
-        if !cfg.lower_bound {
-            // `--no-lb` A/B runs: strip the family's bounded members.
-            for c in &mut configs {
-                c.lower_bound = false;
+
+    /// The CPM timing presolve alone: zero search nodes. `Ok(())` only
+    /// clears the timing relaxation, not the reliability constraints.
+    pub(crate) fn presolve(&self) -> Result<(), ScheduleError> {
+        let mut model = Model::new();
+        let vars = self.encode(&mut model, "")?;
+        check_presolve_with(&model, &|v| single_mode_name(self.app, &model, &vars, v))
+    }
+
+    /// Adds this problem's encoding to `model`, every variable named
+    /// with `prefix` (empty for a single-mode model).
+    fn encode(&self, model: &mut Model, prefix: &str) -> Result<ModeVars, ScheduleError> {
+        let (app, cfg, rounds) = (self.app, self.cfg, &self.rounds);
+        encode_into(model, prefix, app, cfg, rounds, &self.spec, self.deadlines)
+    }
+
+    /// Solves with the configured backend inside a `core.solve` span:
+    /// the exact one through [`drive`], steered by `control` when given;
+    /// the greedy one has no search to steer.
+    pub(crate) fn solve(
+        &self,
+        control: Option<&mut SolveControl<'_>>,
+    ) -> Result<ControlledOutcome, ScheduleError> {
+        let (app, cfg, rounds) = (self.app, self.cfg, &self.rounds);
+        let mode = match self.spec {
+            ReliabilitySpec::Soft { .. } => "soft",
+            ReliabilitySpec::WeaklyHard { .. } => "weakly_hard",
+        };
+        let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
+        let _trace = netdag_trace::span_with(
+            "core.solve",
+            &[
+                ("mode", mode.into()),
+                ("tasks", app.task_count().into()),
+                ("messages", app.message_count().into()),
+            ],
+        );
+        let (schedule, stats, complete) = match cfg.backend {
+            Backend::Exact { .. } => {
+                let mut model = Model::new();
+                let vars = self.encode(&mut model, "")?;
+                let name_of = |v| single_mode_name(app, &model, &vars, v);
+                let (best, stats, complete) = drive(&model, vars.makespan, cfg, &name_of, control)?;
+                let schedule = extract_schedule(cfg, rounds, &vars, &best);
+                (schedule, Some(stats), complete)
             }
-        }
-        enc.model.minimize_portfolio(
-            enc.vars.makespan,
-            &configs,
-            netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
-        )?
-    } else {
-        enc.model.minimize_with_stats(
-            enc.vars.makespan,
-            &SearchConfig {
-                node_limit: enc.node_limit,
-                lower_bound: cfg.lower_bound,
-                ..SearchConfig::default()
-            },
-        )?
-    };
-    let Some(best) = outcome.best else {
-        return Err(ScheduleError::Infeasible);
-    };
-    let schedule = extract_schedule(cfg, rounds, &enc.vars, &best);
-    Ok((schedule, outcome.stats, outcome.stats.proven_optimal))
-}
-
-/// One engine run under external control: inject an optional warm bound,
-/// then alternate `step(step_nodes)` with the `keep_going` poll.
-/// Publishes the run's stats to the global recorder (one search).
-fn run_engine(
-    enc: &EncodedModel,
-    search_cfg: &SearchConfig,
-    bound: Option<i64>,
-    step_nodes: u64,
-    keep_going: &mut dyn FnMut(&SearchStats) -> bool,
-) -> (Option<netdag_solver::Solution>, SearchStats, bool) {
-    let mut engine = enc.model.engine(Some(enc.vars.makespan), search_cfg);
-    if let Some(b) = bound {
-        engine.inject_bound(b);
+            Backend::Greedy => {
+                let schedule = solve_greedy(app, cfg, rounds, &self.spec, self.deadlines)?;
+                (schedule, None, true)
+            }
+        };
+        schedule.publish_metrics();
+        let optimal = stats.is_some_and(|s| s.proven_optimal);
+        let outcome = ScheduleOutcome {
+            schedule,
+            stats,
+            optimal,
+        };
+        Ok(ControlledOutcome { outcome, complete })
     }
-    let finished = loop {
-        if engine.step(step_nodes.max(1)) {
-            break true;
-        }
-        if !keep_going(engine.stats()) {
-            break false;
-        }
-    };
-    let outcome = engine.into_outcome();
-    netdag_solver::publish_stats(&outcome.stats);
-    (outcome.best, outcome.stats, finished)
 }
 
-/// Adds `add`'s effort counters into `total` (used to report honest
-/// totals when a controlled solve runs a warm attempt plus a cold
-/// fallback).
-fn accumulate(total: &mut SearchStats, add: &SearchStats) {
-    total.nodes += add.nodes;
-    total.decisions += add.decisions;
-    total.backtracks += add.backtracks;
-    total.propagations += add.propagations;
-    total.prunings += add.prunings;
-    total.solutions += add.solutions;
-    total.restarts += add.restarts;
-    total.lb_prunes += add.lb_prunes;
-    total.presolve_shaved += add.presolve_shaved;
-    total.trail_len_max = total.trail_len_max.max(add.trail_len_max);
-}
-
-/// As [`solve_exact`], but driven by an external controller: an optional
-/// known-feasible `warm_bound` seeds branch-and-bound pruning, and the
-/// search is paused every `step_nodes` nodes to poll `keep_going`
-/// (deadline enforcement). Returns `(schedule, stats, optimal, complete)`
-/// where `complete` is `false` iff `keep_going` stopped the search and
-/// the schedule is merely the best incumbent so far.
-///
-/// The warm bound is injected as `cached_makespan + 1`-style
-/// *strict-improvement* bounds are exclusive: passing `B + 1` keeps
-/// every solution with makespan `≤ B` reachable, so when the true
-/// optimum is `≤ B` the search returns exactly the same lexicographically
-/// first optimal leaf the cold search would (bit-identical schedules).
-/// When the bound over-prunes (the perturbed problem's optimum is worse
-/// than the cached one), the finished-but-empty warm attempt falls back
-/// to one cold run.
-///
-/// `portfolio ≥ 2` configurations race multiple engines and exchange
-/// bounds on their own schedule; they delegate to the batch path and
-/// ignore the controller.
-///
-/// # Errors
-///
-/// As [`solve_exact`], plus [`ScheduleError::Interrupted`] when the
-/// controller stopped the search before any incumbent was found.
-pub(crate) fn solve_exact_controlled(
-    app: &Application,
+/// The one exact search over a built model, minimizing `objective`.
+/// With the lower bound on, the CPM presolve first rejects a
+/// timing-infeasible model with a witness named by `name_of`.
+/// `portfolio ≥ 2` then races that many configurations and ignores
+/// `control` (the race exchanges bounds on its own schedule); otherwise
+/// one engine runs, steered by `control` or to completion. A warm bound
+/// that over-prunes (a finished search with no solution) falls back to
+/// one cold run, and the stats count both. Returns the best assignment,
+/// the stats and whether the search ran to its end.
+fn drive(
+    model: &Model,
+    objective: VarId,
     cfg: &SchedulerConfig,
-    rounds: &[Vec<MsgId>],
-    spec: &ReliabilitySpec,
-    deadlines: &Deadlines,
-    control: &mut crate::control::SolveControl<'_>,
-) -> Result<(Schedule, SearchStats, bool, bool), ScheduleError> {
-    let warm_bound = control.warm_bound;
-    let step_nodes = control.step_nodes;
-    let keep_going = &mut *control.keep_going;
-    if cfg.portfolio >= 2 {
-        let (schedule, stats, optimal) = solve_exact(app, cfg, rounds, spec, deadlines)?;
-        return Ok((schedule, stats, optimal, true));
-    }
-    let enc = build_model(app, cfg, rounds, spec, deadlines)?;
+    name_of: &dyn Fn(VarId) -> String,
+    control: Option<&mut SolveControl<'_>>,
+) -> Result<(netdag_solver::Solution, SearchStats, bool), ScheduleError> {
     if cfg.lower_bound {
-        check_presolve(&enc, app)?;
+        check_presolve_with(model, name_of)?;
     }
-    let search_cfg = SearchConfig {
-        node_limit: enc.node_limit,
-        lower_bound: cfg.lower_bound,
-        ..SearchConfig::default()
+    let Backend::Exact { node_limit } = cfg.backend else {
+        unreachable!("only the exact backend searches")
     };
-    let mut total = SearchStats::default();
-    let (mut best, stats, mut finished) =
-        run_engine(&enc, &search_cfg, warm_bound, step_nodes, keep_going);
-    let mut proven = stats.proven_optimal;
-    accumulate(&mut total, &stats);
-    if best.is_none() && finished && warm_bound.is_some() {
-        // The warm bound may have pruned a worse-than-cached optimum
-        // (perturbed constraints); distinguish that from true
-        // infeasibility with a cold run.
-        let (b, stats, f) = run_engine(&enc, &search_cfg, None, step_nodes, keep_going);
-        proven = stats.proven_optimal;
-        accumulate(&mut total, &stats);
-        best = b;
-        finished = f;
-    }
-    total.proven_optimal = proven;
-    match best {
-        Some(ref sol) => {
-            let schedule = extract_schedule(cfg, rounds, &enc.vars, sol);
-            Ok((schedule, total, proven, finished))
+    let (outcome, finished) = if cfg.portfolio >= 2 {
+        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, node_limit);
+        // `--no-lb` A/B runs strip the family's bounded members.
+        for c in &mut configs {
+            c.lower_bound &= cfg.lower_bound;
         }
+        let policy = netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads);
+        (model.minimize_portfolio(objective, &configs, policy)?, true)
+    } else {
+        let search = SearchConfig {
+            node_limit,
+            lower_bound: cfg.lower_bound,
+            ..SearchConfig::default()
+        };
+        let mut to_the_end = |_: &SearchStats| true;
+        let (bound, step_nodes, keep_going): (_, _, &mut dyn FnMut(&SearchStats) -> bool) =
+            match control {
+                Some(c) => (c.warm_bound, c.step_nodes, &mut *c.keep_going),
+                None => (None, u64::MAX, &mut to_the_end),
+            };
+        let mut run = |b| model.minimize_steered(objective, &search, b, step_nodes, keep_going);
+        let (mut outcome, mut finished) = run(bound)?;
+        if outcome.best.is_none() && finished && bound.is_some() {
+            let warm = outcome.stats;
+            (outcome, finished) = run(None)?;
+            outcome.stats.add_effort(&warm);
+        }
+        (outcome, finished)
+    };
+    match outcome.best {
+        Some(best) => Ok((best, outcome.stats, finished)),
         None if finished => Err(ScheduleError::Infeasible),
         None => Err(ScheduleError::Interrupted),
     }
 }
 
-/// One mode of a joint multi-mode problem, after preprocessing: the
-/// reliability spec already reflects the mode's statistic and constraint
-/// mix.
-pub(crate) struct ModeProblem<'a> {
-    /// Mode name (used to label per-mode infeasibility witnesses).
-    pub name: &'a str,
-    /// The mode's reliability encoding.
-    pub spec: &'a ReliabilitySpec,
-    /// The mode's task-level deadlines.
-    pub deadlines: &'a Deadlines,
-}
-
-/// The joint CSP over all modes: one full copy of the scheduling
-/// encoding per mode (prefixed `m{i}_`), shared-round equality coupling
-/// over the common prefix, and a total objective `Σ_i makespan_i`.
-struct MultiModeEncoded {
-    model: Model,
-    per_mode: Vec<ModeVars>,
-    total: VarId,
-    node_limit: Option<u64>,
-}
-
 /// Encodes the joint multi-mode CSP: each mode gets an independent copy
-/// of the full encoding, then the first `shared_prefix` rounds are pinned
-/// equal across modes — same start time and the same `χ` for every
-/// message in them (slot and round durations follow through the shared
-/// tables) — so the bus can announce a mode change in any shared round's
-/// beacon and switch at that round boundary without re-synchronizing.
+/// of the full encoding (variables prefixed `m{i}_`), then the first
+/// `shared_prefix` rounds are pinned equal across modes — same start
+/// time and the same `χ` for every message in them (slot and round
+/// durations follow through the shared tables) — so the bus can
+/// announce a mode change in any shared round's beacon and switch at
+/// that round boundary without re-synchronizing. Returns the model,
+/// each mode's variables and the joint objective `Σ_i makespan_i`.
 fn build_multi_mode(
-    app: &Application,
-    cfg: &SchedulerConfig,
-    rounds: &[Vec<MsgId>],
-    modes: &[ModeProblem<'_>],
+    modes: &[(&str, Prepared<'_>)],
     shared_prefix: usize,
-) -> Result<MultiModeEncoded, ScheduleError> {
+) -> Result<(Model, Vec<ModeVars>, VarId), ScheduleError> {
     let mut model = Model::new();
     let mut per_mode = Vec::with_capacity(modes.len());
-    for (i, m) in modes.iter().enumerate() {
-        let prefix = format!("m{i}_");
-        per_mode.push(encode_into(
-            &mut model,
-            &prefix,
-            app,
-            cfg,
-            rounds,
-            m.spec,
-            m.deadlines,
-        )?);
+    for (i, (_, m)) in modes.iter().enumerate() {
+        per_mode.push(m.encode(&mut model, &format!("m{i}_"))?);
     }
+    let rounds = &modes[0].1.rounds;
     let shared = shared_prefix.min(rounds.len());
     for (r, round) in rounds.iter().enumerate().take(shared) {
         for mv in per_mode.iter().skip(1) {
@@ -787,12 +687,7 @@ fn build_multi_mode(
     let mut terms: Vec<(i64, VarId)> = per_mode.iter().map(|v| (1i64, v.makespan)).collect();
     terms.push((-1, total));
     model.linear_eq(&terms, 0)?;
-    Ok(MultiModeEncoded {
-        model,
-        per_mode,
-        total,
-        node_limit: node_limit_of(cfg),
-    })
+    Ok((model, per_mode, total))
 }
 
 /// Prefixes a timing-infeasibility explanation with the mode it belongs
@@ -807,11 +702,13 @@ fn label_mode_error(name: &str, err: ScheduleError) -> ScheduleError {
     }
 }
 
-/// Solves the joint multi-mode problem exactly. Returns one schedule per
-/// mode (declaration order), the joint search statistics with the
-/// per-mode objective split in
-/// [`SearchStats::mode_objectives`](netdag_solver::SearchStats), and
-/// whether joint optimality was proven.
+/// Solves the joint multi-mode problem — one `(name, problem)` per
+/// mode, all over the same application, configuration and rounds —
+/// exactly through [`drive`], run to completion. Returns one schedule
+/// per mode (declaration order) and the joint search statistics with
+/// the per-mode objective split in
+/// [`SearchStats::mode_objectives`](netdag_solver::SearchStats);
+/// `proven_optimal` says whether joint optimality was proven.
 ///
 /// When the lower bound is enabled, each mode's *own* encoding is
 /// presolved first: a mode that is infeasible on its own yields a
@@ -822,68 +719,37 @@ fn label_mode_error(name: &str, err: ScheduleError) -> ScheduleError {
 ///
 /// # Errors
 ///
-/// As [`solve_exact`], with [`ScheduleError::InfeasibleTiming`]
-/// witnesses labeled per mode.
+/// As [`drive`], with [`ScheduleError::InfeasibleTiming`] witnesses
+/// labeled per mode.
 pub(crate) fn solve_multi_mode(
-    app: &Application,
-    cfg: &SchedulerConfig,
-    rounds: &[Vec<MsgId>],
-    modes: &[ModeProblem<'_>],
+    modes: &[(&str, Prepared<'_>)],
     shared_prefix: usize,
-) -> Result<(Vec<Schedule>, SearchStats, bool), ScheduleError> {
+) -> Result<(Vec<Schedule>, SearchStats), ScheduleError> {
+    let first = &modes[0].1;
+    let (app, cfg, rounds) = (first.app, first.cfg, &first.rounds);
     if cfg.lower_bound {
-        for m in modes {
-            let enc = build_model(app, cfg, rounds, m.spec, m.deadlines)?;
-            check_presolve(&enc, app).map_err(|e| label_mode_error(m.name, e))?;
+        for (name, m) in modes {
+            m.presolve().map_err(|e| label_mode_error(name, e))?;
         }
     }
-    let enc = build_multi_mode(app, cfg, rounds, modes, shared_prefix)?;
-    if cfg.lower_bound {
-        let name_of = |v: VarId| {
-            for (mv, m) in enc.per_mode.iter().zip(modes) {
-                if let Some(entity) = entity_in_mode(app, mv, v) {
-                    return format!("mode '{}': {entity}", m.name);
-                }
-            }
-            enc.model.var_name(v).to_owned()
-        };
-        check_presolve_with(&enc.model, &name_of)?;
-    }
-    let outcome = if cfg.portfolio >= 2 {
-        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, enc.node_limit);
-        if !cfg.lower_bound {
-            for c in &mut configs {
-                c.lower_bound = false;
+    let (model, per_mode, total) = build_multi_mode(modes, shared_prefix)?;
+    let name_of = |v: VarId| {
+        for (mv, (name, _)) in per_mode.iter().zip(modes) {
+            if let Some(entity) = entity_in_mode(app, mv, v) {
+                return format!("mode '{name}': {entity}");
             }
         }
-        enc.model.minimize_portfolio(
-            enc.total,
-            &configs,
-            netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
-        )?
-    } else {
-        enc.model.minimize_with_stats(
-            enc.total,
-            &SearchConfig {
-                node_limit: enc.node_limit,
-                lower_bound: cfg.lower_bound,
-                ..SearchConfig::default()
-            },
-        )?
+        model.var_name(v).to_owned()
     };
-    let Some(best) = outcome.best else {
-        return Err(ScheduleError::Infeasible);
-    };
-    let schedules: Vec<Schedule> = enc
-        .per_mode
+    let (best, mut stats, _) = drive(&model, total, cfg, &name_of, None)?;
+    let schedules: Vec<Schedule> = per_mode
         .iter()
         .map(|mv| extract_schedule(cfg, rounds, mv, &best))
         .collect();
-    let mut stats = outcome.stats;
-    for mv in &enc.per_mode {
+    for mv in &per_mode {
         stats.mode_objectives.push(best.value(mv.makespan));
     }
-    Ok((schedules, stats, stats.proven_optimal))
+    Ok((schedules, stats))
 }
 
 #[cfg(test)]
@@ -899,6 +765,34 @@ mod tests {
         let a = b.task("a", NodeId(1), 50);
         b.edge(s, a, 8).unwrap();
         b.build().unwrap()
+    }
+
+    /// A single-mode problem over the per-level rounds of `app`.
+    fn prepared<'a>(
+        app: &'a Application,
+        cfg: &'a SchedulerConfig,
+        deadlines: &'a Deadlines,
+        spec: &ReliabilitySpec,
+    ) -> Prepared<'a> {
+        Prepared {
+            app,
+            cfg,
+            deadlines,
+            rounds: build_rounds(app, RoundStructure::PerLevel),
+            spec: spec.clone(),
+        }
+    }
+
+    /// A run-to-completion single-mode solve: the schedule and whether
+    /// optimality was proven.
+    fn solve_to_end(
+        app: &Application,
+        cfg: &SchedulerConfig,
+        spec: &ReliabilitySpec,
+    ) -> Result<(Schedule, bool), ScheduleError> {
+        let solved = prepared(app, cfg, &Deadlines::new(), spec).solve(None)?;
+        assert!(solved.complete, "an unsteered solve always runs to its end");
+        Ok((solved.outcome.schedule, solved.outcome.optimal))
     }
 
     fn soft_spec(app: &Application, table: Vec<i64>, threshold: i64) -> ReliabilitySpec {
@@ -917,11 +811,9 @@ mod tests {
     fn exact_minimizes_chi_when_reliability_is_loose() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         // ln λ table: all zero (perfect floods); threshold 0 ⇒ any χ works.
         let spec = soft_spec(&app, vec![0; cfg.chi_max as usize], 0);
-        let (schedule, _, optimal) =
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap();
+        let (schedule, optimal) = solve_to_end(&app, &cfg, &spec).unwrap();
         assert!(optimal);
         schedule.check_feasible(&app).unwrap();
         // Minimal χ wins: smaller rounds, smaller makespan.
@@ -932,12 +824,10 @@ mod tests {
     fn exact_raises_chi_to_meet_reliability() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         // log table improving with χ: needs χ ≥ 4 to reach −2000.
         let table: Vec<i64> = (1..=cfg.chi_max as i64).map(|chi| -10_000 / chi).collect();
         let spec = soft_spec(&app, table, -2_500);
-        let (schedule, _, optimal) =
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap();
+        let (schedule, optimal) = solve_to_end(&app, &cfg, &spec).unwrap();
         assert!(optimal);
         schedule.check_feasible(&app).unwrap();
         assert_eq!(schedule.chi(MsgId(0)), 4);
@@ -947,14 +837,13 @@ mod tests {
     fn exact_detects_infeasible_reliability() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         let spec = soft_spec(&app, vec![-100; cfg.chi_max as usize], -50);
         // The reliability row is unary here, so it lands in the
         // difference subsystem and the presolve proves infeasibility
         // before any search (with an explanation); `--no-lb` falls back
         // to the search proof.
         assert!(matches!(
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap_err(),
+            solve_to_end(&app, &cfg, &spec).unwrap_err(),
             ScheduleError::InfeasibleTiming(_)
         ));
         let no_lb = SchedulerConfig {
@@ -962,7 +851,7 @@ mod tests {
             ..cfg
         };
         assert_eq!(
-            solve_exact(&app, &no_lb, &rounds, &spec, &Deadlines::new()).unwrap_err(),
+            solve_to_end(&app, &no_lb, &spec).unwrap_err(),
             ScheduleError::Infeasible
         );
     }
@@ -971,7 +860,6 @@ mod tests {
     fn exact_weakly_hard_balances_window_and_misses() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         // Eq. (13)-like: misses fall with χ, window grows 20·χ.
         let miss: Vec<i64> = (1..=cfg.chi_max as i64)
             .map(|n| ((10.0 * (-0.5 * n as f64).exp()).ceil() as i64) + 1)
@@ -991,8 +879,7 @@ mod tests {
                 task: TaskId(1),
             }],
         };
-        let (schedule, _, optimal) =
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap();
+        let (schedule, optimal) = solve_to_end(&app, &cfg, &spec).unwrap();
         assert!(optimal);
         schedule.check_feasible(&app).unwrap();
         let chi = schedule.chi(MsgId(0));
@@ -1005,7 +892,6 @@ mod tests {
     fn multi_mode_shared_prefix_couples_chi() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         // Mode 'loose' would pick χ = 1 on its own; mode 'tight' needs
         // χ ≥ 4. The app has one round, so a shared prefix of 1 pins the
         // whole schedule: both modes must agree on χ = 4.
@@ -1014,19 +900,11 @@ mod tests {
         let tight = soft_spec(&app, table, -2_500);
         let dl = Deadlines::new();
         let modes = [
-            ModeProblem {
-                name: "loose",
-                spec: &loose,
-                deadlines: &dl,
-            },
-            ModeProblem {
-                name: "tight",
-                spec: &tight,
-                deadlines: &dl,
-            },
+            ("loose", prepared(&app, &cfg, &dl, &loose)),
+            ("tight", prepared(&app, &cfg, &dl, &tight)),
         ];
-        let (schedules, stats, optimal) = solve_multi_mode(&app, &cfg, &rounds, &modes, 1).unwrap();
-        assert!(optimal);
+        let (schedules, stats) = solve_multi_mode(&modes, 1).unwrap();
+        assert!(stats.proven_optimal);
         assert_eq!(schedules.len(), 2);
         assert_eq!(stats.mode_objectives.len(), 2);
         assert_eq!(schedules[0].chi(MsgId(0)), 4);
@@ -1042,25 +920,16 @@ mod tests {
     fn multi_mode_without_shared_prefix_solves_modes_independently() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         let loose = soft_spec(&app, vec![0; cfg.chi_max as usize], 0);
         let table: Vec<i64> = (1..=cfg.chi_max as i64).map(|chi| -10_000 / chi).collect();
         let tight = soft_spec(&app, table, -2_500);
         let dl = Deadlines::new();
         let modes = [
-            ModeProblem {
-                name: "loose",
-                spec: &loose,
-                deadlines: &dl,
-            },
-            ModeProblem {
-                name: "tight",
-                spec: &tight,
-                deadlines: &dl,
-            },
+            ("loose", prepared(&app, &cfg, &dl, &loose)),
+            ("tight", prepared(&app, &cfg, &dl, &tight)),
         ];
-        let (schedules, _, optimal) = solve_multi_mode(&app, &cfg, &rounds, &modes, 0).unwrap();
-        assert!(optimal);
+        let (schedules, stats) = solve_multi_mode(&modes, 0).unwrap();
+        assert!(stats.proven_optimal);
         // Decoupled: each mode reaches its individual optimum.
         assert_eq!(schedules[0].chi(MsgId(0)), 1);
         assert_eq!(schedules[1].chi(MsgId(0)), 4);
@@ -1070,25 +939,16 @@ mod tests {
     fn multi_mode_presolve_labels_the_infeasible_mode() {
         let app = two_task_app();
         let cfg = SchedulerConfig::default();
-        let rounds = build_rounds(&app, RoundStructure::PerLevel);
         let ok = soft_spec(&app, vec![0; cfg.chi_max as usize], 0);
         // Unary reliability row that no χ can satisfy: the per-mode
         // presolve proves it and names the mode.
         let bad = soft_spec(&app, vec![-100; cfg.chi_max as usize], -50);
         let dl = Deadlines::new();
         let modes = [
-            ModeProblem {
-                name: "normal",
-                spec: &ok,
-                deadlines: &dl,
-            },
-            ModeProblem {
-                name: "degraded",
-                spec: &bad,
-                deadlines: &dl,
-            },
+            ("normal", prepared(&app, &cfg, &dl, &ok)),
+            ("degraded", prepared(&app, &cfg, &dl, &bad)),
         ];
-        let err = solve_multi_mode(&app, &cfg, &rounds, &modes, 1).unwrap_err();
+        let err = solve_multi_mode(&modes, 1).unwrap_err();
         match err {
             ScheduleError::InfeasibleTiming(explanation) => {
                 assert!(

@@ -29,6 +29,7 @@
 //! | feasibility, eqs. (4)–(5) | [`schedule`] |
 //! | flood/round durations, eq. (3) | `netdag_glossy::timing` |
 //! | soft constraints `F_s`, eq. (6) | [`soft`], [`constraints`] |
+//! | the soft / weakly hard choice (eq. (15) or eq. (13) statistic) | [`problem`] |
 //! | soft statistic `λ_s`, eqs. (11)/(15) | [`stat`], `netdag_glossy::stats` |
 //! | weakly hard constraints `F_WH`, eqs. (8)–(10) | [`weakly_hard`] |
 //! | `⊕` composition behind eq. (10) | `netdag_weakly_hard::conjunction` |
@@ -81,6 +82,7 @@ pub mod graph;
 mod heuristic;
 pub mod makespan;
 pub mod modes;
+pub mod problem;
 pub mod rounds;
 pub mod schedule;
 pub mod soft;
@@ -100,6 +102,7 @@ pub mod prelude {
     pub use crate::modes::{
         schedule_modes, ModeSchedule, ModeScheduleExport, ModeScheduleOutcome, ModeSpec, ModesSpec,
     };
+    pub use crate::problem::Mix;
     pub use crate::schedule::{Round, Schedule};
     pub use crate::soft::{
         presolve_soft, schedule_soft, schedule_soft_controlled, schedule_soft_with_deadlines,

@@ -32,11 +32,11 @@
 use crate::app::{Application, TaskId};
 use crate::config::{Backend, ScheduleError, SchedulerConfig};
 use crate::constraints::Deadlines;
-use crate::encode::{solve_multi_mode, ModeProblem, ReliabilitySpec};
+use crate::encode::solve_multi_mode;
+use crate::problem::Mix;
 use crate::rounds::build_rounds;
 use crate::schedule::Schedule;
-use crate::spec::{resolve, AppSpec, SoftEntry, SoftSpec, WeaklyHardSpec};
-use crate::stat::{validate_soft, validate_weakly_hard, Eq13Statistic, Eq15Statistic};
+use crate::spec::{resolve, AppSpec, SoftEntry, SoftSpec, SpecError, WeaklyHardSpec};
 use netdag_solver::{ModeObjectives, SearchStats};
 
 /// Soft constraint mix of one mode: the profiled `fSS̄` parameterizing
@@ -65,6 +65,24 @@ pub struct ModeSpec {
     /// Per-flood success probability of the mode's loss model, used by
     /// bus replay (`(0, 1]`; `None` = ideal links).
     pub loss: Option<f64>,
+}
+
+impl ModeSpec {
+    /// This mode's constraint mix, built against the application's
+    /// task names; `None` unless the mode carries exactly one of `soft`
+    /// and `weakly_hard`.
+    pub fn mix(&self, names: &[(String, TaskId)]) -> Option<Result<Mix, SpecError>> {
+        Some(match (&self.soft, &self.weakly_hard) {
+            (Some(soft), None) => {
+                let constraints = soft.constraints.clone();
+                SoftSpec { constraints }
+                    .build(names)
+                    .map(|f| Mix::Soft(soft.fss, f))
+            }
+            (None, Some(wh)) => wh.build(names).map(Mix::WeaklyHard),
+            _ => return None,
+        })
+    }
 }
 
 /// A complete multi-mode specification (`modes.json`): the application
@@ -281,45 +299,15 @@ pub fn schedule_modes(
     let shared = spec.shared_prefix_rounds.unwrap_or(1).min(rounds.len());
 
     // Per-mode reliability encodings, each under its own statistic.
-    let mut specs: Vec<ReliabilitySpec> = Vec::with_capacity(spec.modes.len());
-    for mode in &spec.modes {
-        let rspec = match (&mode.soft, &mode.weakly_hard) {
-            (Some(soft), None) => {
-                let stat = Eq15Statistic::new(soft.fss, cfg.chi_max);
-                validate_soft(&stat)?;
-                let f = SoftSpec {
-                    constraints: soft.constraints.clone(),
-                }
-                .build(&names)
-                .map_err(|e| bad(format!("modes spec: mode '{}': {e}", mode.name)))?;
-                f.validate(&app)?;
-                crate::soft::build_spec(&app, &stat, &f, cfg, &rounds)
-            }
-            (None, Some(wh)) => {
-                let stat = Eq13Statistic::new(cfg.chi_max);
-                validate_weakly_hard(&stat)?;
-                let f = wh
-                    .build(&names)
-                    .map_err(|e| bad(format!("modes spec: mode '{}': {e}", mode.name)))?;
-                f.validate(&app)?;
-                crate::weakly_hard::build_spec(&app, &stat, &f, cfg, &rounds)
-            }
-            _ => unreachable!("validate_modes enforces the mix"),
-        };
-        specs.push(rspec);
-    }
-
     let deadlines = Deadlines::new();
-    let problems: Vec<ModeProblem<'_>> = spec
-        .modes
-        .iter()
-        .zip(&specs)
-        .map(|(mode, rspec)| ModeProblem {
-            name: &mode.name,
-            spec: rspec,
-            deadlines: &deadlines,
-        })
-        .collect();
+    let mut problems = Vec::with_capacity(spec.modes.len());
+    for mode in &spec.modes {
+        let mix = mode
+            .mix(&names)
+            .expect("validate_modes enforces the mix")
+            .map_err(|e| bad(format!("modes spec: mode '{}': {e}", mode.name)))?;
+        problems.push((mode.name.as_str(), mix.prepare(&app, cfg, &deadlines)?));
+    }
 
     let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
     let _trace = netdag_trace::span_with(
@@ -332,7 +320,7 @@ pub fn schedule_modes(
             ("messages", app.message_count().into()),
         ],
     );
-    let (schedules, stats, optimal) = solve_multi_mode(&app, cfg, &rounds, &problems, shared)?;
+    let (schedules, stats) = solve_multi_mode(&problems, shared)?;
 
     // The coupling constraints make prefix rounds identical by
     // construction; a violated assertion here means the encoder broke.
@@ -369,8 +357,8 @@ pub fn schedule_modes(
         names,
         modes,
         shared_prefix_rounds: shared,
+        optimal: stats.proven_optimal,
         stats,
-        optimal,
     })
 }
 

@@ -1,14 +1,10 @@
 //! Soft real-time scheduling (paper § III-B, eq. (6)).
 
 use crate::app::{Application, TaskId};
-use crate::config::{Backend, ScheduleError, ScheduleOutcome, SchedulerConfig};
-use crate::constraints::Deadlines;
+use crate::config::{ScheduleError, ScheduleOutcome, SchedulerConfig};
+use crate::constraints::{Deadlines, SoftConstraints};
 use crate::control::{ControlledOutcome, SolveControl};
-use crate::encode::{
-    presolve_exact, solve_exact, solve_exact_controlled, ReliabilitySpec, LOG_SCALE, LOG_ZERO,
-};
-use crate::heuristic::solve_greedy;
-use crate::rounds::build_rounds;
+use crate::encode::{Prepared, ReliabilitySpec, LOG_SCALE, LOG_ZERO};
 use crate::schedule::Schedule;
 use crate::stat::{validate_soft, SoftStatistic};
 
@@ -47,7 +43,7 @@ use crate::stat::{validate_soft, SoftStatistic};
 pub fn schedule_soft<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::SoftConstraints,
+    constraints: &SoftConstraints,
     cfg: &SchedulerConfig,
 ) -> Result<ScheduleOutcome, ScheduleError> {
     schedule_soft_with_deadlines(app, stat, constraints, &Deadlines::new(), cfg)
@@ -67,11 +63,13 @@ pub fn schedule_soft<S: SoftStatistic + ?Sized>(
 pub fn schedule_soft_with_deadlines<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::SoftConstraints,
+    constraints: &SoftConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<ScheduleOutcome, ScheduleError> {
-    schedule_soft_inner(app, stat, constraints, deadlines, cfg, None).map(|c| c.outcome)
+    prepare(app, stat, constraints, deadlines, cfg)?
+        .solve(None)
+        .map(|c| c.outcome)
 }
 
 /// As [`schedule_soft_with_deadlines`], with the exact solve steered by
@@ -87,12 +85,12 @@ pub fn schedule_soft_with_deadlines<S: SoftStatistic + ?Sized>(
 pub fn schedule_soft_controlled<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::SoftConstraints,
+    constraints: &SoftConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
     control: &mut SolveControl<'_>,
 ) -> Result<ControlledOutcome, ScheduleError> {
-    schedule_soft_inner(app, stat, constraints, deadlines, cfg, Some(control))
+    prepare(app, stat, constraints, deadlines, cfg)?.solve(Some(control))
 }
 
 /// Runs only the CPM timing presolve for a soft spec: validates the
@@ -115,85 +113,34 @@ pub fn schedule_soft_controlled<S: SoftStatistic + ?Sized>(
 pub fn presolve_soft<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::SoftConstraints,
+    constraints: &SoftConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<(), ScheduleError> {
-    cfg.validate()?;
-    validate_soft(stat)?;
-    constraints.validate(app)?;
-    deadlines
-        .validate(app)
-        .map_err(ScheduleError::BadDeadline)?;
-    let rounds = build_rounds(app, cfg.round_structure);
-    let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    presolve_exact(app, cfg, &rounds, &spec, deadlines)
+    prepare(app, stat, constraints, deadlines, cfg)?.presolve()
 }
 
-fn schedule_soft_inner<S: SoftStatistic + ?Sized>(
-    app: &Application,
+/// Validates a soft problem and builds its eq. (6) encoding.
+pub(crate) fn prepare<'a, S: SoftStatistic + ?Sized>(
+    app: &'a Application,
     stat: &S,
-    constraints: &crate::constraints::SoftConstraints,
-    deadlines: &Deadlines,
-    cfg: &SchedulerConfig,
-    control: Option<&mut SolveControl<'_>>,
-) -> Result<ControlledOutcome, ScheduleError> {
-    cfg.validate()?;
-    validate_soft(stat)?;
-    constraints.validate(app)?;
-    deadlines
-        .validate(app)
-        .map_err(ScheduleError::BadDeadline)?;
-    let rounds = build_rounds(app, cfg.round_structure);
-    let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
-    let _trace = netdag_trace::span_with(
-        "core.solve",
-        &[
-            ("mode", "soft".into()),
-            ("tasks", app.task_count().into()),
-            ("messages", app.message_count().into()),
-        ],
-    );
-    let (outcome, complete) = match cfg.backend {
-        Backend::Exact { .. } => {
-            let (schedule, stats, optimal, complete) = match control {
-                Some(ctl) => solve_exact_controlled(app, cfg, &rounds, &spec, deadlines, ctl)?,
-                None => {
-                    let (schedule, stats, optimal) =
-                        solve_exact(app, cfg, &rounds, &spec, deadlines)?;
-                    (schedule, stats, optimal, true)
-                }
-            };
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: Some(stats),
-                    optimal,
-                },
-                complete,
-            )
-        }
-        Backend::Greedy => {
-            let schedule = solve_greedy(app, cfg, &rounds, &spec, deadlines)?;
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: None,
-                    optimal: false,
-                },
-                true,
-            )
-        }
+    constraints: &SoftConstraints,
+    deadlines: &'a Deadlines,
+    cfg: &'a SchedulerConfig,
+) -> Result<Prepared<'a>, ScheduleError> {
+    let check = || {
+        validate_soft(stat)?;
+        Ok(constraints.validate(app)?)
     };
-    outcome.schedule.publish_metrics();
-    Ok(ControlledOutcome { outcome, complete })
+    Prepared::new(app, cfg, deadlines, check, |rounds| {
+        build_spec(app, stat, constraints, cfg, rounds)
+    })
 }
 
-pub(crate) fn build_spec<S: SoftStatistic + ?Sized>(
+fn build_spec<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::SoftConstraints,
+    constraints: &SoftConstraints,
     cfg: &SchedulerConfig,
     rounds: &[Vec<crate::app::MsgId>],
 ) -> ReliabilitySpec {

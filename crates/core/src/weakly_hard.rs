@@ -3,12 +3,10 @@
 use netdag_weakly_hard::{oplus_fold, Constraint};
 
 use crate::app::{Application, TaskId};
-use crate::config::{Backend, ScheduleError, ScheduleOutcome, SchedulerConfig};
-use crate::constraints::Deadlines;
+use crate::config::{ScheduleError, ScheduleOutcome, SchedulerConfig};
+use crate::constraints::{Deadlines, WeaklyHardConstraints};
 use crate::control::{ControlledOutcome, SolveControl};
-use crate::encode::{presolve_exact, solve_exact, solve_exact_controlled, ReliabilitySpec};
-use crate::heuristic::solve_greedy;
-use crate::rounds::build_rounds;
+use crate::encode::{Prepared, ReliabilitySpec};
 use crate::schedule::Schedule;
 use crate::stat::{validate_weakly_hard, WeaklyHardStatistic};
 
@@ -51,7 +49,7 @@ use crate::stat::{validate_weakly_hard, WeaklyHardStatistic};
 pub fn schedule_weakly_hard<S: WeaklyHardStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::WeaklyHardConstraints,
+    constraints: &WeaklyHardConstraints,
     cfg: &SchedulerConfig,
 ) -> Result<ScheduleOutcome, ScheduleError> {
     schedule_weakly_hard_with_deadlines(app, stat, constraints, &Deadlines::new(), cfg)
@@ -70,11 +68,13 @@ pub fn schedule_weakly_hard<S: WeaklyHardStatistic + ?Sized>(
 pub fn schedule_weakly_hard_with_deadlines<S: WeaklyHardStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::WeaklyHardConstraints,
+    constraints: &WeaklyHardConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<ScheduleOutcome, ScheduleError> {
-    schedule_weakly_hard_inner(app, stat, constraints, deadlines, cfg, None).map(|c| c.outcome)
+    prepare(app, stat, constraints, deadlines, cfg)?
+        .solve(None)
+        .map(|c| c.outcome)
 }
 
 /// As [`schedule_weakly_hard_with_deadlines`], with the exact solve
@@ -90,12 +90,12 @@ pub fn schedule_weakly_hard_with_deadlines<S: WeaklyHardStatistic + ?Sized>(
 pub fn schedule_weakly_hard_controlled<S: WeaklyHardStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::WeaklyHardConstraints,
+    constraints: &WeaklyHardConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
     control: &mut SolveControl<'_>,
 ) -> Result<ControlledOutcome, ScheduleError> {
-    schedule_weakly_hard_inner(app, stat, constraints, deadlines, cfg, Some(control))
+    prepare(app, stat, constraints, deadlines, cfg)?.solve(Some(control))
 }
 
 /// Runs only the CPM timing presolve for a weakly hard spec — see
@@ -111,85 +111,34 @@ pub fn schedule_weakly_hard_controlled<S: WeaklyHardStatistic + ?Sized>(
 pub fn presolve_weakly_hard<S: WeaklyHardStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::WeaklyHardConstraints,
+    constraints: &WeaklyHardConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<(), ScheduleError> {
-    cfg.validate()?;
-    validate_weakly_hard(stat)?;
-    constraints.validate(app)?;
-    deadlines
-        .validate(app)
-        .map_err(ScheduleError::BadDeadline)?;
-    let rounds = build_rounds(app, cfg.round_structure);
-    let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    presolve_exact(app, cfg, &rounds, &spec, deadlines)
+    prepare(app, stat, constraints, deadlines, cfg)?.presolve()
 }
 
-fn schedule_weakly_hard_inner<S: WeaklyHardStatistic + ?Sized>(
-    app: &Application,
+/// Validates a weakly hard problem and builds its eq. (10) encoding.
+pub(crate) fn prepare<'a, S: WeaklyHardStatistic + ?Sized>(
+    app: &'a Application,
     stat: &S,
-    constraints: &crate::constraints::WeaklyHardConstraints,
-    deadlines: &Deadlines,
-    cfg: &SchedulerConfig,
-    control: Option<&mut SolveControl<'_>>,
-) -> Result<ControlledOutcome, ScheduleError> {
-    cfg.validate()?;
-    validate_weakly_hard(stat)?;
-    constraints.validate(app)?;
-    deadlines
-        .validate(app)
-        .map_err(ScheduleError::BadDeadline)?;
-    let rounds = build_rounds(app, cfg.round_structure);
-    let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
-    let _trace = netdag_trace::span_with(
-        "core.solve",
-        &[
-            ("mode", "weakly_hard".into()),
-            ("tasks", app.task_count().into()),
-            ("messages", app.message_count().into()),
-        ],
-    );
-    let (outcome, complete) = match cfg.backend {
-        Backend::Exact { .. } => {
-            let (schedule, stats, optimal, complete) = match control {
-                Some(ctl) => solve_exact_controlled(app, cfg, &rounds, &spec, deadlines, ctl)?,
-                None => {
-                    let (schedule, stats, optimal) =
-                        solve_exact(app, cfg, &rounds, &spec, deadlines)?;
-                    (schedule, stats, optimal, true)
-                }
-            };
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: Some(stats),
-                    optimal,
-                },
-                complete,
-            )
-        }
-        Backend::Greedy => {
-            let schedule = solve_greedy(app, cfg, &rounds, &spec, deadlines)?;
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: None,
-                    optimal: false,
-                },
-                true,
-            )
-        }
+    constraints: &WeaklyHardConstraints,
+    deadlines: &'a Deadlines,
+    cfg: &'a SchedulerConfig,
+) -> Result<Prepared<'a>, ScheduleError> {
+    let check = || {
+        validate_weakly_hard(stat)?;
+        Ok(constraints.validate(app)?)
     };
-    outcome.schedule.publish_metrics();
-    Ok(ControlledOutcome { outcome, complete })
+    Prepared::new(app, cfg, deadlines, check, |rounds| {
+        build_spec(app, stat, constraints, cfg, rounds)
+    })
 }
 
-pub(crate) fn build_spec<S: WeaklyHardStatistic + ?Sized>(
+fn build_spec<S: WeaklyHardStatistic + ?Sized>(
     app: &Application,
     stat: &S,
-    constraints: &crate::constraints::WeaklyHardConstraints,
+    constraints: &WeaklyHardConstraints,
     cfg: &SchedulerConfig,
     rounds: &[Vec<crate::app::MsgId>],
 ) -> ReliabilitySpec {

@@ -53,6 +53,17 @@ pub const REASON_QUEUE_FULL: &str = "queue_full";
 /// Rejection reason: the server is draining after a `shutdown` request.
 pub const REASON_SHUTTING_DOWN: &str = "shutting_down";
 
+/// Largest `kappa` a `validate` request may ask for: soft validation
+/// draws `kappa` Bernoulli samples per constrained task, so the cap
+/// bounds one request's time and memory. Larger values are refused with
+/// [`STATUS_ERROR`] before any simulation.
+pub const MAX_VALIDATE_KAPPA: u64 = 1_000_000;
+/// Largest `trials` a `validate` request may ask for: weakly hard
+/// validation runs `trials` adversarial runs per constrained task and
+/// keeps one verdict per run. Larger values are refused with
+/// [`STATUS_ERROR`] before any simulation.
+pub const MAX_VALIDATE_TRIALS: u64 = 10_000;
+
 /// Statistic selector of a request (the CLI's `--stat` flag).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatSpec {
@@ -132,9 +143,11 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
     /// The schedule to check (validate only).
     pub schedule: Option<ScheduleExport>,
-    /// Simulated runs per task (validate; default 10 000).
+    /// Simulated runs per task (validate; default 10 000, at most
+    /// [`MAX_VALIDATE_KAPPA`]).
     pub kappa: Option<u64>,
-    /// Adversarial trials (validate, weakly hard; default 50).
+    /// Adversarial trials (validate, weakly hard; default 50, at most
+    /// [`MAX_VALIDATE_TRIALS`]).
     pub trials: Option<u64>,
     /// RNG seed (validate; default 2020).
     pub seed: Option<u64>,

@@ -76,13 +76,11 @@ use std::time::{Duration, Instant};
 
 use netdag_core::app::Application;
 use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
-use netdag_core::constraints::{Deadlines, SoftConstraints, WeaklyHardConstraints};
-use netdag_core::control::{ControlledOutcome, SolveControl};
+use netdag_core::constraints::WeaklyHardConstraints;
+use netdag_core::control::SolveControl;
 use netdag_core::modes::schedule_modes;
-use netdag_core::soft::{presolve_soft, schedule_soft_controlled};
-use netdag_core::spec::{ScheduleExport, SoftSpec};
-use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
-use netdag_core::weakly_hard::{presolve_weakly_hard, schedule_weakly_hard_controlled};
+use netdag_core::problem::Mix;
+use netdag_core::spec::ScheduleExport;
 use netdag_obs::{counter, keys, Gauge, SloGate, SloInputs, SloReport, WindowedHist};
 use netdag_runtime::{run_indexed, ExecPolicy};
 use netdag_validation::validate_schedule;
@@ -91,8 +89,8 @@ use crate::cache::{Lookup, ModeCache, SolutionCache};
 use crate::fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
 use crate::protocol::{
     CacheStatsBody, HealthBody, MetricsBody, Request, Response, RollingStats, ShardCacheStats,
-    StatSpec, ValidationReport, WindowMeta, REASON_QUEUE_FULL, REASON_SHUTTING_DOWN,
-    STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
+    StatSpec, ValidationReport, WindowMeta, MAX_VALIDATE_KAPPA, MAX_VALIDATE_TRIALS,
+    REASON_QUEUE_FULL, REASON_SHUTTING_DOWN, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
 };
 use crate::ring::Ring;
 use crate::snapshot::{self, CacheSnapshot, ModeSnapshotEntry};
@@ -180,52 +178,6 @@ pub struct ServeReport {
     pub restored: u64,
     /// The shutdown SLO verdict; `None` when no gate was configured.
     pub slo: Option<SloReport>,
-}
-
-/// The built constraint mix of one problem: exactly one of the paper's
-/// two formulations. The soft/weakly-hard choice between the CPM
-/// presolve and the controlled solve is made here and nowhere else.
-enum Mix {
-    /// Soft constraints under the eq. (15) statistic with this `fSS̄`.
-    Soft(f64, SoftConstraints),
-    /// Weakly hard constraints under the eq. (13) statistic.
-    WeaklyHard(WeaklyHardConstraints),
-}
-
-impl Mix {
-    /// The CPM timing presolve: no search, `Err` when provably
-    /// infeasible.
-    fn presolve(&self, app: &Application, cfg: &SchedulerConfig) -> Result<(), ScheduleError> {
-        let none = Deadlines::new();
-        match self {
-            Mix::Soft(fss, f) => {
-                presolve_soft(app, &Eq15Statistic::new(*fss, cfg.chi_max), f, &none, cfg)
-            }
-            Mix::WeaklyHard(f) => {
-                presolve_weakly_hard(app, &Eq13Statistic::new(cfg.chi_max), f, &none, cfg)
-            }
-        }
-    }
-
-    /// The deadline-controlled branch-and-bound solve.
-    fn solve(
-        &self,
-        app: &Application,
-        cfg: &SchedulerConfig,
-        control: &mut SolveControl<'_>,
-    ) -> Result<ControlledOutcome, ScheduleError> {
-        let none = Deadlines::new();
-        match self {
-            Mix::Soft(fss, f) => {
-                let stat = Eq15Statistic::new(*fss, cfg.chi_max);
-                schedule_soft_controlled(app, &stat, f, &none, cfg, control)
-            }
-            Mix::WeaklyHard(f) => {
-                let stat = Eq13Statistic::new(cfg.chi_max);
-                schedule_weakly_hard_controlled(app, &stat, f, &none, cfg, control)
-            }
-        }
-    }
 }
 
 /// A `solve`, `validate` or batch-item request after [`decode`]: built
@@ -516,6 +468,9 @@ struct Shared {
     shards: Vec<ShardState>,
     shutdown: AtomicBool,
     in_flight: AtomicU64,
+    /// This daemon's live worker threads (the obs gauge of the same
+    /// name is process-global and would sum over in-process daemons).
+    workers_live: AtomicU64,
     requests: AtomicU64,
     rejected: AtomicU64,
     /// Requests fully handled by a worker (drives window ticks and the
@@ -599,6 +554,7 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
             .collect(),
         shutdown: AtomicBool::new(false),
         in_flight: AtomicU64::new(0),
+        workers_live: AtomicU64::new(0),
         requests: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
         completed: AtomicU64::new(0),
@@ -952,7 +908,7 @@ fn handle_health(shared: &Shared, req: &Request) -> Response {
         in_flight: shared.in_flight.load(Ordering::SeqCst),
         shards: shared.shards.len() as u64,
         workers: shared.cfg.workers.max(1) as u64,
-        workers_live: shared.gauges.workers_live.get(),
+        workers_live: shared.workers_live.load(Ordering::SeqCst),
         cache_entries,
         cache_capacity: shared.cfg.cache_capacity.max(1) as u64,
     });
@@ -965,18 +921,30 @@ fn presolves(cfg: &SchedulerConfig) -> bool {
     cfg.lower_bound && cfg.backend != Backend::Greedy
 }
 
-/// Runs the CPM timing presolve of a decoded solve. `Some(response)`
-/// means the problem is provably infeasible and already answered;
-/// `None` means "admit normally".
+/// Runs one mix's CPM timing presolve. `Some(reason)` means the timing
+/// is provably infeasible (marked with a `serve.presolve_reject`
+/// instant); `None` means "admit normally".
+fn timing_reject(
+    id: Option<u64>,
+    mix: &Mix,
+    app: &Application,
+    cfg: &SchedulerConfig,
+) -> Option<String> {
+    let Err(ScheduleError::InfeasibleTiming(e)) = mix.presolve(app, cfg) else {
+        return None;
+    };
+    netdag_trace::instant("serve.presolve_reject", &[("id", id.unwrap_or(0).into())]);
+    Some(format!("timing presolve: {e}"))
+}
+
+/// The CPM presolve of a decoded solve: `Some(response)` answers a
+/// provably infeasible problem.
 fn presolve_reject(id: Option<u64>, p: &Problem) -> Option<Response> {
     if !presolves(&p.cfg) {
         return None;
     }
-    let Err(ScheduleError::InfeasibleTiming(e)) = p.mixes[0].presolve(&p.app, &p.cfg) else {
-        return None;
-    };
-    netdag_trace::instant("serve.presolve_reject", &[("id", id.unwrap_or(0).into())]);
-    Some(infeasible(id, format!("timing presolve: {e}"), p.fp.hex()))
+    let reason = timing_reject(id, &p.mixes[0], &p.app, &p.cfg)?;
+    Some(infeasible(id, reason, p.fp.hex()))
 }
 
 /// Runs the CPM timing presolve once per mode of a `mode_solve`
@@ -992,21 +960,10 @@ fn presolve_reject_modes(req: &Request, cfg: &SchedulerConfig, key: u64) -> Opti
     }
     let (app, names) = spec.app.build().ok()?;
     for mode in &spec.modes {
-        let mix = match (&mode.soft, &mode.weakly_hard) {
-            (Some(soft), None) => {
-                let constraints = soft.constraints.clone();
-                Mix::Soft(soft.fss, SoftSpec { constraints }.build(&names).ok()?)
-            }
-            (None, Some(wh)) => Mix::WeaklyHard(wh.build(&names).ok()?),
-            // Invalid constraint mix: let the worker report it.
-            _ => return None,
-        };
-        if let Err(ScheduleError::InfeasibleTiming(e)) = mix.presolve(&app, cfg) {
-            netdag_trace::instant(
-                "serve.presolve_reject",
-                &[("id", req.id.unwrap_or(0).into())],
-            );
-            let reason = format!("mode '{}': timing presolve: {e}", mode.name);
+        // An invalid constraint mix is left for the worker to report.
+        let mix = mode.mix(&names)?.ok()?;
+        if let Some(reason) = timing_reject(req.id, &mix, &app, cfg) {
+            let reason = format!("mode '{}': {reason}", mode.name);
             return Some(infeasible(req.id, reason, format!("{key:016x}")));
         }
     }
@@ -1151,13 +1108,15 @@ fn handle_batch(shared: &Shared, mut req: Request) -> Response {
     resp
 }
 
-/// Keeps the `serve.workers_live` gauge honest on every exit path,
-/// including a panic unwinding out of a handler.
-struct LiveWorker<'a>(&'a Gauge);
+/// Counts one worker as live, in the daemon's own count and the
+/// `serve.workers_live` gauge, and keeps both honest on every exit
+/// path, including a panic unwinding out of a handler.
+struct LiveWorker<'a>(&'a Shared);
 
 impl Drop for LiveWorker<'_> {
     fn drop(&mut self) {
-        self.0.sub(1);
+        self.0.workers_live.fetch_sub(1, Ordering::SeqCst);
+        self.0.gauges.workers_live.sub(1);
     }
 }
 
@@ -1167,8 +1126,9 @@ fn micros_since(start: Instant) -> u64 {
 }
 
 fn worker_loop(shared: &Shared, shard: &ShardState) {
+    shared.workers_live.fetch_add(1, Ordering::SeqCst);
     shared.gauges.workers_live.add(1);
-    let _live = LiveWorker(&shared.gauges.workers_live);
+    let _live = LiveWorker(shared);
     loop {
         let job = {
             let mut queue = lock(&shard.queue);
@@ -1401,6 +1361,14 @@ fn scheduled(id: Option<u64>, complete: bool, cached: bool, warm: bool, fp: Stri
     resp
 }
 
+/// An exact cache hit's envelope, counted and marked in the trace; the
+/// caller attaches the cached document.
+fn cache_hit(id: Option<u64>, fp: String) -> Response {
+    counter!(keys::SERVE_CACHE_HITS).incr();
+    netdag_trace::instant("serve.cache_hit", &[("fingerprint", fp.clone().into())]);
+    scheduled(id, true, true, false, fp)
+}
+
 /// Answers a solve the scheduler refused: `constraints` names what no
 /// χ assignment could meet.
 fn refused(id: Option<u64>, e: ScheduleError, fp: String, constraints: &str) -> Response {
@@ -1437,9 +1405,7 @@ fn handle_solve(
     let mut warm_bound = None;
     match lock(&shard.cache).lookup(&p.fp) {
         Lookup::Exact(export) => {
-            counter!(keys::SERVE_CACHE_HITS).incr();
-            netdag_trace::instant("serve.cache_hit", &[("fingerprint", hex.clone().into())]);
-            let mut resp = scheduled(id, true, true, false, hex);
+            let mut resp = cache_hit(id, hex);
             resp.result = Some(export);
             return (resp, 0);
         }
@@ -1463,7 +1429,7 @@ fn handle_solve(
     let mut control = SolveControl::warm(warm_bound, &mut keep_going);
     control.step_nodes = shared.cfg.step_nodes;
 
-    match p.mixes[0].solve(&p.app, &p.cfg, &mut control) {
+    match p.mixes[0].solve(&p.app, &p.cfg, Some(&mut control)) {
         Ok(controlled) => {
             let nodes = controlled.outcome.stats.as_ref().map_or(0, |s| s.nodes);
             let makespan = controlled.outcome.schedule.makespan(&p.app);
@@ -1527,9 +1493,7 @@ fn handle_mode_solve(
     let hex = format!("{key:016x}");
     let hit = lock(&shard.mode_cache).get(&key).map(|e| e.export.clone());
     if let Some(export) = hit {
-        counter!(keys::SERVE_CACHE_HITS).incr();
-        netdag_trace::instant("serve.cache_hit", &[("fingerprint", hex.clone().into())]);
-        let mut resp = scheduled(id, true, true, false, hex);
+        let mut resp = cache_hit(id, hex);
         resp.mode_result = Some(export);
         return (resp, 0);
     }
@@ -1557,6 +1521,13 @@ fn handle_validate(req: &Request, problem: &Result<Problem, String>) -> Response
         Ok(p) => p,
         Err(reason) => return fail(id, reason),
     };
+    let (kappa, trials) = (req.kappa.unwrap_or(10_000), req.trials.unwrap_or(50));
+    if kappa > MAX_VALIDATE_KAPPA {
+        return fail(id, &format!("kappa must be at most {MAX_VALIDATE_KAPPA}"));
+    }
+    if trials > MAX_VALIDATE_TRIALS {
+        return fail(id, &format!("trials must be at most {MAX_VALIDATE_TRIALS}"));
+    }
     let schedule = &req
         .schedule
         .as_ref()
@@ -1574,8 +1545,8 @@ fn handle_validate(req: &Request, problem: &Result<Problem, String>) -> Response
         schedule,
         soft,
         weakly_hard,
-        req.kappa.unwrap_or(10_000) as usize,
-        req.trials.unwrap_or(50) as usize,
+        kappa as usize,
+        trials as usize,
         req.seed.unwrap_or(2020),
         ExecPolicy::from_threads(req.threads.unwrap_or(1) as usize),
     ) {

@@ -70,6 +70,27 @@ fn send(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, req: &Request
     serde_json::from_str(&resp).expect("response JSON")
 }
 
+/// Starts a daemon on a loopback port and connects to it: the
+/// connection's reader and writer, and the channel its report arrives
+/// on after `shutdown`.
+fn start_daemon(
+    cfg: ServeConfig,
+) -> (BufReader<TcpStream>, TcpStream, mpsc::Receiver<ServeReport>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (tx, rx) = mpsc::channel::<ServeReport>();
+    std::thread::spawn(move || {
+        let report = serve(listener, &cfg).expect("serve");
+        let _ = tx.send(report);
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (reader, stream, rx)
+}
+
 fn field<'v>(obj: &'v Value, key: &str) -> &'v Value {
     match obj {
         Value::Object(pairs) => pairs
@@ -105,25 +126,11 @@ fn access_log_rid_matches_trace_span_rid() {
     netdag_trace::set_clock(netdag_trace::ClockMode::Logical);
     netdag_trace::set_enabled(true);
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let cfg = ServeConfig {
+    let (mut reader, mut writer, rx) = start_daemon(ServeConfig {
         workers: 1,
         access_log: Some(log_path.clone()),
         ..ServeConfig::default()
-    };
-    let (tx, rx) = mpsc::channel::<ServeReport>();
-    std::thread::spawn(move || {
-        let report = serve(listener, &cfg).expect("serve");
-        let _ = tx.send(report);
     });
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
 
     // Cold solve, exact repeat (hit), permuted declarations (warm).
     let r1 = send(
@@ -209,6 +216,75 @@ fn access_log_rid_matches_trace_span_rid() {
     let _ = std::fs::remove_file(&log_path);
 }
 
+/// A traced daemon solve records the whole causal chain: each cold or
+/// warm-started solve's `serve.request` span holds one `core.solve`
+/// span, which holds one `solver.search` span — the steered engine opens
+/// the same search span as a batch solve. An exact hit runs no solve.
+#[test]
+fn traced_solves_nest_search_under_core_solve_under_request() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    netdag_trace::reset();
+    netdag_trace::set_clock(netdag_trace::ClockMode::Logical);
+    netdag_trace::set_enabled(true);
+
+    let (mut reader, mut writer, rx) = start_daemon(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let cold = send(
+        &mut reader,
+        &mut writer,
+        &solve_request(301, pipeline_app()),
+    );
+    assert_eq!(cold.cached, Some(false), "{:?}", cold.reason);
+    let hit = send(
+        &mut reader,
+        &mut writer,
+        &solve_request(302, pipeline_app()),
+    );
+    assert_eq!(hit.cached, Some(true));
+    let mut permuted = pipeline_app();
+    permuted.tasks.swap(0, 1);
+    let warm = send(&mut reader, &mut writer, &solve_request(303, permuted));
+    assert_eq!(warm.warm_started, Some(true));
+    send(&mut reader, &mut writer, &Request::op("shutdown"));
+    rx.recv_timeout(Duration::from_secs(30)).expect("report");
+    netdag_trace::set_enabled(false);
+
+    let trace = netdag_trace::drain();
+    let begins: Vec<&netdag_trace::Event> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin)
+        .collect();
+    let children = |parent: u64, name: &str| -> Vec<u64> {
+        begins
+            .iter()
+            .filter(|e| e.parent == parent && e.name == name)
+            .map(|e| e.id)
+            .collect()
+    };
+    let mut chains = BTreeMap::new();
+    for request in begins.iter().filter(|e| e.name == "serve.request") {
+        let Some((_, netdag_trace::ArgValue::U64(id))) =
+            request.args.iter().find(|(k, _)| *k == "id")
+        else {
+            panic!("serve.request span without a u64 id: {request:?}");
+        };
+        let solves = children(request.id, "core.solve");
+        let searches: Vec<u64> = solves
+            .iter()
+            .flat_map(|&s| children(s, "solver.search"))
+            .collect();
+        chains.insert(*id, (solves.len(), searches.len()));
+    }
+    assert_eq!(
+        chains,
+        BTreeMap::from([(301, (1, 1)), (302, (0, 0)), (303, (1, 1))]),
+        "(core.solve, solver.search) spans under each request"
+    );
+}
+
 /// Telemetry must never fail a request — but it must not vanish
 /// silently either. With the access log pointed at `/dev/full` (opens
 /// fine, every write fails with ENOSPC) all three requests are still
@@ -228,25 +304,11 @@ fn failed_access_log_writes_are_counted_not_fatal() {
     };
     let before = dropped();
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let cfg = ServeConfig {
+    let (mut reader, mut writer, rx) = start_daemon(ServeConfig {
         workers: 1,
         access_log: Some(std::path::PathBuf::from("/dev/full")),
         ..ServeConfig::default()
-    };
-    let (tx, rx) = mpsc::channel::<ServeReport>();
-    std::thread::spawn(move || {
-        let report = serve(listener, &cfg).expect("serve");
-        let _ = tx.send(report);
     });
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
 
     // Cold solve, exact repeat, permuted repeat — the same session as
     // above, all answered despite the log sink being unwritable.

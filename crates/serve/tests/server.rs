@@ -12,8 +12,9 @@ use netdag_core::spec::{
     AppSpec, EdgeSpec, SoftEntry, SoftSpec, TaskSpec, WeaklyHardEntry, WeaklyHardSpec,
 };
 use netdag_serve::protocol::{
-    ConfigSpec, Request, Response, RollingStats, StatSpec, REASON_QUEUE_FULL, STATUS_ERROR,
-    STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK, STATUS_REJECTED,
+    ConfigSpec, Request, Response, RollingStats, StatSpec, MAX_VALIDATE_KAPPA, MAX_VALIDATE_TRIALS,
+    REASON_QUEUE_FULL, STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
+    STATUS_REJECTED,
 };
 use netdag_serve::{serve, ServeConfig, ServeReport};
 
@@ -610,13 +611,13 @@ fn rolling_solver_nodes_identical_across_worker_counts() {
 /// exits.
 ///
 /// The worker is pinned with a Monte-Carlo validation: its cost is
-/// linear in `kappa * trials` (no pruning, no early exit on a passing
+/// linear in its sample counts (no pruning, no early exit on a passing
 /// run), so unlike a branch-and-bound solve it cannot terminate early
-/// on a fast machine. Eq. (13) windows are at least 20 slots, so every
+/// on a fast machine. The hold asks for the most the daemon accepts:
+/// `MAX_VALIDATE_KAPPA` soft samples, then `MAX_VALIDATE_TRIALS`
+/// weakly hard trials. Eq. (13) windows are at least 20 slots, so every
 /// trial draws a jittered burst pattern (no automaton is built) of
-/// `kappa` slots — the daemon caps weakly-hard `kappa` at 2 000 — and
-/// the hold's length is set by `trials` alone: about 0.4 s in a
-/// release build, several seconds in a debug one.
+/// `min(kappa, 2 000)` slots.
 #[test]
 fn backpressure_bounds_queue_and_shutdown_drains() {
     const N: usize = 2;
@@ -633,15 +634,25 @@ fn backpressure_bounds_queue_and_shutdown_drains() {
     let solved = holder.send(&solve_request(99, pipeline_app(), Some(wh_spec(10, 40))));
     assert_eq!(solved.status, STATUS_OK, "{:?}", solved.reason);
 
-    // Occupy the worker with 20 000 trials at the 2 000-slot kappa cap;
-    // the response is read after the burst.
+    // Occupy the worker with the largest validation it accepts; the
+    // response is read after the burst.
     let mut hold = Request::op("validate");
     hold.id = Some(100);
     hold.app = Some(pipeline_app());
+    hold.soft = Some(SoftSpec {
+        constraints: vec![SoftEntry {
+            task: "act".into(),
+            probability: 0.1,
+        }],
+    });
+    hold.stat = Some(StatSpec {
+        kind: "eq15".into(),
+        fss: Some(1.0),
+    });
     hold.weakly_hard = Some(wh_spec(10, 40));
     hold.schedule = solved.result.clone();
-    hold.kappa = Some(2_000);
-    hold.trials = Some(20_000);
+    hold.kappa = Some(MAX_VALIDATE_KAPPA);
+    hold.trials = Some(MAX_VALIDATE_TRIALS);
     let hold_line = serde_json::to_string(&hold).expect("serialize");
     holder
         .writer

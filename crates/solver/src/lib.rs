@@ -69,6 +69,6 @@ pub use model::{Model, SolverError};
 pub use netdag_runtime::ExecPolicy;
 pub use relax::{PresolveStep, PresolveWitness, Relaxation};
 pub use search::{
-    portfolio_configs, publish_stats, Engine, ModeObjectives, RestartPolicy, SearchConfig,
-    SearchOutcome, SearchStats, Solution, ValueOrder, VarOrder,
+    portfolio_configs, Engine, ModeObjectives, RestartPolicy, SearchConfig, SearchOutcome,
+    SearchStats, Solution, ValueOrder, VarOrder,
 };

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::domain::VarId;
 use crate::propagator::{IfThenLe, LinearLe, MaxOf, MinOf, NoOverlap, Propagator, TableFn};
-use crate::search::{self, Engine, SearchConfig, SearchOutcome, Solution};
+use crate::search::{self, SearchConfig, SearchOutcome, SearchStats, Solution};
 
 /// Error returned while building or solving a [`Model`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,19 +160,6 @@ impl Model {
     pub fn linear_eq(&mut self, terms: &[(i64, VarId)], bound: i64) -> Result<(), SolverError> {
         self.linear_le(terms, bound)?;
         self.linear_ge(terms, bound)
-    }
-
-    /// Creates a pausable branch-and-bound [`Engine`] over this model.
-    ///
-    /// Unlike [`Model::minimize`], which runs a search to completion,
-    /// the returned engine is driven by the caller via
-    /// [`Engine::step`] (bounded node budgets — e.g. to enforce a
-    /// per-request deadline) and can be seeded with a known-feasible
-    /// objective bound via [`Engine::inject_bound`] (warm starts).
-    /// Callers should publish the final stats themselves with
-    /// [`crate::search::publish_stats`].
-    pub fn engine(&self, objective: Option<VarId>, cfg: &SearchConfig) -> Engine<'_> {
-        Engine::new(self, objective, cfg.clone())
     }
 
     /// Posts `x − y ≥ c`.
@@ -334,6 +321,28 @@ impl Model {
     ) -> Result<SearchOutcome, SolverError> {
         self.check_var(objective)?;
         Ok(search::run(self, Some(objective), cfg))
+    }
+
+    /// As [`Model::minimize_with_stats`], steered from outside: `bound`
+    /// is injected first as a strict-improvement incumbent (warm
+    /// starts), and every `step_nodes` nodes the search polls
+    /// `keep_going` with its live stats (deadlines). The flag is `false`
+    /// when the poll stopped the search; `best` is then the incumbent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::UnknownVar`] if `objective` is foreign.
+    pub fn minimize_steered(
+        &self,
+        objective: VarId,
+        cfg: &SearchConfig,
+        bound: Option<i64>,
+        step_nodes: u64,
+        keep_going: &mut dyn FnMut(&SearchStats) -> bool,
+    ) -> Result<(SearchOutcome, bool), SolverError> {
+        self.check_var(objective)?;
+        let steered = search::steer(self, Some(objective), cfg, bound, step_nodes, keep_going);
+        Ok(steered)
     }
 
     /// Races several search configurations on this model in parallel and

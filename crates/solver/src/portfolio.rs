@@ -89,16 +89,7 @@ pub(crate) fn race(
     let mut loser_nodes = 0u64;
     for (i, engine) in engines.iter().enumerate() {
         let s = engine.stats();
-        stats.nodes += s.nodes;
-        stats.decisions += s.decisions;
-        stats.backtracks += s.backtracks;
-        stats.propagations += s.propagations;
-        stats.prunings += s.prunings;
-        stats.solutions += s.solutions;
-        stats.restarts += s.restarts;
-        stats.lb_prunes += s.lb_prunes;
-        stats.presolve_shaved += s.presolve_shaved;
-        stats.trail_len_max = stats.trail_len_max.max(s.trail_len_max);
+        stats.add_effort(s);
         stats.proven_optimal |= s.proven_optimal;
         if winner.map(|(w, _)| w) != Some(i) {
             loser_nodes += s.nodes;

@@ -321,6 +321,23 @@ pub struct SearchStats {
     pub proven_optimal: bool,
 }
 
+impl SearchStats {
+    /// Adds another search's effort counters into these (the trail
+    /// high-water mark takes the larger); outcome fields are untouched.
+    pub fn add_effort(&mut self, other: &SearchStats) {
+        self.nodes += other.nodes;
+        self.decisions += other.decisions;
+        self.backtracks += other.backtracks;
+        self.propagations += other.propagations;
+        self.prunings += other.prunings;
+        self.solutions += other.solutions;
+        self.restarts += other.restarts;
+        self.lb_prunes += other.lb_prunes;
+        self.presolve_shaved += other.presolve_shaved;
+        self.trail_len_max = self.trail_len_max.max(other.trail_len_max);
+    }
+}
+
 /// Result of a search: best solution (if any) and statistics.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -945,6 +962,22 @@ enum Descend {
 
 /// Runs DFS (+ branch-and-bound when `objective` is set) to completion.
 pub(crate) fn run(model: &Model, objective: Option<VarId>, cfg: &SearchConfig) -> SearchOutcome {
+    steer(model, objective, cfg, None, u64::MAX, &mut |_| true).0
+}
+
+/// The single-engine search loop: injects `bound` (a strict-improvement
+/// incumbent) when given, then alternates `step(step_nodes)` with the
+/// `keep_going` poll until the search finishes or the poll says stop.
+/// Returns the outcome and whether the search finished. One
+/// `solver.search` span and one [`publish_stats`] per call.
+pub(crate) fn steer(
+    model: &Model,
+    objective: Option<VarId>,
+    cfg: &SearchConfig,
+    bound: Option<i64>,
+    step_nodes: u64,
+    keep_going: &mut dyn FnMut(&SearchStats) -> bool,
+) -> (SearchOutcome, bool) {
     let _search = netdag_trace::span_with(
         "solver.search",
         &[
@@ -954,19 +987,25 @@ pub(crate) fn run(model: &Model, objective: Option<VarId>, cfg: &SearchConfig) -
         ],
     );
     let mut engine = Engine::new(model, objective, cfg.clone());
-    while !engine.step(u64::MAX) {}
+    if let Some(b) = bound {
+        engine.inject_bound(b);
+    }
+    let finished = loop {
+        if engine.step(step_nodes) {
+            break true;
+        }
+        if !keep_going(engine.stats()) {
+            break false;
+        }
+    };
     let outcome = engine.into_outcome();
     publish_stats(&outcome.stats);
-    outcome
+    (outcome, finished)
 }
 
-/// Mirrors a finished search's totals into the global metrics recorder.
-///
-/// [`Model::solve`]-family entry points call this automatically; callers
-/// driving an [`Engine`] by hand (e.g. a serving loop pausing via
-/// [`Engine::step`]) should call it exactly once per search so the
-/// `solver.*` counters stay consistent with batch solves.
-pub fn publish_stats(stats: &SearchStats) {
+/// Mirrors a finished search's totals into the global metrics recorder,
+/// exactly once per search (single engine or portfolio race).
+pub(crate) fn publish_stats(stats: &SearchStats) {
     use netdag_obs::{counter, keys};
     counter!(keys::SOLVER_SEARCHES).incr();
     counter!(keys::SOLVER_NODES).add(stats.nodes);
